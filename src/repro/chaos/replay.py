@@ -18,10 +18,9 @@ bit-identically or the artifact is stale -- both useful answers.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional
 
+from repro.artifact import Schema, array, fail, integer, nullable, obj, one_of, string
 from repro.chaos.schedule import SCHEDULE_SCHEMA, Schedule
 
 
@@ -45,25 +44,23 @@ def reproducer_dict(
     return doc
 
 
-def write_artifact(path: str, doc: Dict[str, Any]) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _schedule_parses(doc: Dict[str, Any]) -> None:
+    try:
+        Schedule.from_dict(doc["schedule"])
+    except (KeyError, TypeError, ValueError) as error:
+        fail("$.schedule", f"not a {SCHEDULE_SCHEMA} schedule: {error!r}")
 
 
-def load_artifact(path: str) -> Dict[str, Any]:
-    """Load and structurally validate a reproducer artifact."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEDULE_SCHEMA:
-        raise ValueError(f"{path}: not a {SCHEDULE_SCHEMA} artifact")
-    if doc.get("kind") != "reproducer":
-        raise ValueError(f"{path}: kind={doc.get('kind')!r}, expected 'reproducer'")
-    Schedule.from_dict(doc["schedule"])  # validates the embedded schedule
-    return doc
+REPRODUCER = Schema(SCHEDULE_SCHEMA, {
+    "kind": one_of("reproducer"),
+    "schedule": obj(),
+    "violations": array(string()),
+    "shrunk_from_events": nullable(integer()),
+    "shrink_runs": nullable(integer()),
+}, checks=[_schedule_parses], sort_keys=True)
+
+write_artifact = REPRODUCER.write
+load_artifact = REPRODUCER.read
 
 
 def replay_artifact(

@@ -39,13 +39,12 @@ curves (convergence, blackout, control-plane cost versus size).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Tuple
 
 from repro.constants import MS, SEC
 from repro.network import Network
-from repro.obs.export import bench_document, bench_result, write_document
+from repro.obs.export import bench_document, bench_result, read_document, write_document
 from repro.obs.flight import CAT_EPOCH, CAT_PORT, render_chain
 from repro.obs.inband import write_inband
 from repro.obs.perfetto import path_trace_document, write_trace
@@ -365,8 +364,7 @@ def _cmd_watch(args) -> int:
 
 
 def _cmd_regress(args) -> int:
-    with open(args.current) as fh:
-        current = json.load(fh)
+    current = read_document(args.current)
     window = baseline_window(args.baseline, current.get("bench", ""))
     if args.tolerances:
         tolerance = Tolerance.load_overrides(

@@ -18,19 +18,17 @@ The emitted document is simultaneously
   event's ``args`` so the causal chains survive the export and can be
   walked offline.
 
-``validate_trace`` is a hand-rolled structural check (the container has
-no ``jsonschema``): field presence/types per phase, matched B/E slice
-nesting per track, and flow bind-id resolution (every flow finish has an
-earlier flow start with the same id).
+The :data:`TRACE` schema (:mod:`repro.artifact`) checks field
+presence/types per phase, matched B/E slice nesting per track, and flow
+bind-id resolution (every flow finish has an earlier flow start with the
+same id).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional
 
-from repro.obs.export import SchemaError
+from repro.artifact import Schema, array, fail, integer, number, obj, string, tagged
 from repro.obs.flight import (
     CAT_EPOCH,
     CAT_LOG,
@@ -400,99 +398,63 @@ def path_trace_document(
     }
 
 
-# -- the structural validator ---------------------------------------------------------
+# -- the trace schema -----------------------------------------------------------------
 
-#: phases this exporter emits; anything else is a validation error
-_KNOWN_PH = frozenset({"M", "B", "E", "i", "I", "X", "s", "t", "f"})
+_TRACK = {"pid": integer(None), "tid": integer(None)}
+_TIMED = {**_TRACK, "ts": number(non_negative=True)}
+_NAMED = {**_TIMED, "name": string(non_empty=True)}
+
+#: per-phase field specs for the phases this exporter emits; flow ids
+#: are checked by :func:`_slices_nest_and_flows_bind`
+_EVENT = tagged("ph", "phase", {
+    "M": obj({**_TRACK, "name": string(non_empty=True)}),
+    "B": obj(_NAMED),
+    "E": obj(_TIMED),
+    "i": obj(_NAMED),
+    "I": obj(_NAMED),
+    "X": obj({**_NAMED, "dur": number(non_negative=True)}),
+    "s": obj(_NAMED),
+    "t": obj(_TIMED),
+    "f": obj(_NAMED),
+})
 
 
-def _fail(path: str, why: str) -> None:
-    raise SchemaError(f"{path}: {why}")
-
-
-def validate_trace(doc: Any) -> Dict[str, Any]:
-    """Structurally validate a flight trace document; returns it.
-
-    Checks, per event: ``ph``/``pid``/``tid`` presence and types, a
-    numeric non-negative ``ts`` on every non-metadata event, a ``name``
-    where the phase requires one, ``dur`` on complete events, ``id`` on
-    flow events.  Globally: B/E events nest and match per track, and
-    every flow finish binds to an earlier flow start with the same id.
-    """
-    if not isinstance(doc, dict):
-        _fail("$", f"expected object, got {type(doc).__name__}")
-    if doc.get("schema") != FLIGHT_SCHEMA:
-        _fail("$.schema", f"expected {FLIGHT_SCHEMA!r}, got {doc.get('schema')!r}")
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        _fail("$.traceEvents", "expected array")
-
-    slice_stacks: Dict[tuple, List[str]] = {}
+def _slices_nest_and_flows_bind(doc: Dict[str, Any]) -> None:
+    """B/E slices nest, match and close per track; every flow finish
+    binds to an earlier flow start with the same id."""
+    open_slices: Dict[tuple, List[str]] = {}
     flow_starts: set = set()
-    for i, event in enumerate(events):
-        path = f"$.traceEvents[{i}]"
-        if not isinstance(event, dict):
-            _fail(path, "expected object")
-        ph = event.get("ph")
-        if ph not in _KNOWN_PH:
-            _fail(f"{path}.ph", f"unknown phase {ph!r}")
-        for field in ("pid", "tid"):
-            if not isinstance(event.get(field), int):
-                _fail(f"{path}.{field}", "expected int")
-        if ph != "M":
-            ts = event.get("ts")
-            if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-                _fail(f"{path}.ts", f"expected non-negative number, got {ts!r}")
-        if ph in ("M", "B", "i", "I", "X", "s", "f"):
-            if not isinstance(event.get("name"), str) or not event["name"]:
-                _fail(f"{path}.name", "expected non-empty string")
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                _fail(f"{path}.dur", "complete event needs a non-negative dur")
-        track = (event.get("pid"), event.get("tid"))
+    for i, event in enumerate(doc["traceEvents"]):
+        path, ph = f"$.traceEvents[{i}]", event["ph"]
+        track = (event["pid"], event["tid"])
         if ph == "B":
-            slice_stacks.setdefault(track, []).append(event["name"])
+            open_slices.setdefault(track, []).append(event["name"])
         elif ph == "E":
-            stack = slice_stacks.get(track)
+            stack = open_slices.get(track)
             if not stack:
-                _fail(path, f"slice end with no open slice on track {track}")
-            opened = stack.pop()
-            ended = event.get("name")
+                fail(path, f"slice end with no open slice on track {track}")
+            opened, ended = stack.pop(), event.get("name")
             if ended is not None and ended != opened:
-                _fail(path, f"slice end {ended!r} does not match open {opened!r}")
+                fail(path, f"slice end {ended!r} does not match open {opened!r}")
         elif ph in ("s", "f"):
             flow_id = event.get("id")
             if not isinstance(flow_id, (int, str)):
-                _fail(f"{path}.id", "flow event needs an id")
+                fail(f"{path}.id", "flow event needs an id")
             if ph == "s":
                 flow_starts.add(flow_id)
             elif flow_id not in flow_starts:
-                _fail(f"{path}.id", f"flow finish {flow_id!r} has no earlier start")
-    for track, stack in slice_stacks.items():
+                fail(f"{path}.id", f"flow finish {flow_id!r} has no earlier start")
+    for track, stack in open_slices.items():
         if stack:
-            _fail("$", f"track {track} ends with unclosed slices: {stack}")
-    return doc
+            fail("$", f"track {track} ends with unclosed slices: {stack}")
 
 
-# -- file I/O ---------------------------------------------------------------------------
+TRACE = Schema(FLIGHT_SCHEMA, {"traceEvents": array(_EVENT)},
+               checks=[_slices_nest_and_flows_bind], indent=1)
 
-
-def write_trace(path: str, doc: Dict[str, Any]) -> None:
-    """Validate and write a flight trace document as JSON."""
-    validate_trace(doc)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def read_trace(path: str) -> Dict[str, Any]:
-    """Load and validate a flight trace document from disk."""
-    with open(path) as fh:
-        return validate_trace(json.load(fh))
+validate_trace = TRACE.validate
+write_trace = TRACE.write
+read_trace = TRACE.read
 
 
 def chains_from_trace(doc: Dict[str, Any]) -> Dict[int, Optional[int]]:

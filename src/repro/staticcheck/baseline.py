@@ -14,8 +14,8 @@ Schema (``repro.staticcheck-baseline/1``)::
     {
       "schema": "repro.staticcheck-baseline/1",
       "suppressions": [
-        {"rule": "RS201", "path": "src/repro/obs/export.py",
-         "justification": "artifact serializer: open() is its purpose"}
+        {"rule": "RS201", "path": "src/repro/obs/regress.py",
+         "justification": "bench-history archive: open() is its purpose"}
       ]
     }
 """

@@ -9,17 +9,13 @@ host details are embedded.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.artifact import ArtifactSchemaError, Schema, array, boolean, fail, integer, obj, string
 from repro.staticcheck.framework import Pass, Rule, SuiteResult, all_rules
 
 SCHEMA = "repro.staticcheck/1"
-
-
-class SchemaError(ValueError):
-    """A document does not conform to ``repro.staticcheck/1``."""
 
 
 def build_report(result: SuiteResult,
@@ -61,61 +57,47 @@ def build_report(result: SuiteResult,
     return doc
 
 
-def write_report(doc: Dict[str, Any], path: Union[str, Path]) -> None:
-    validate_report(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_report(path: Union[str, Path]) -> Dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    validate_report(doc)
-    return doc
-
-
-def validate_report(doc: Any) -> None:
-    """Structural check; raises :class:`SchemaError` on any violation."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"document must be an object, got {type(doc).__name__}")
-    if doc.get("schema") != SCHEMA:
-        raise SchemaError(f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
-    for key in ("roots", "rules", "findings", "suppressed", "stale_suppressions"):
-        if not isinstance(doc.get(key), list):
-            raise SchemaError(f"{key!r} must be a list")
-    if not isinstance(doc.get("files_scanned"), int):
-        raise SchemaError("'files_scanned' must be an integer")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict) or not isinstance(summary.get("ok"), bool):
-        raise SchemaError("'summary' must be an object with a boolean 'ok'")
-    for rule in doc["rules"]:
-        if not (isinstance(rule, dict) and isinstance(rule.get("id"), str)
-                and rule["id"].startswith("RS")):
-            raise SchemaError(f"malformed rule entry: {rule!r}")
-    known_rules = {rule["id"] for rule in doc["rules"]}
+def _rules_known(doc: Dict[str, Any]) -> None:
+    """Rule ids are ``RS`` ids, and every finding names a declared rule."""
+    for i, rule in enumerate(doc["rules"]):
+        if not rule["id"].startswith("RS"):
+            fail(f"$.rules[{i}].id", f"expected an RS rule id, got {rule['id']!r}")
+    known = {rule["id"] for rule in doc["rules"]}
     for section in ("findings", "suppressed"):
-        for finding in doc[section]:
-            if not isinstance(finding, dict):
-                raise SchemaError(f"{section} entries must be objects")
-            for key, kind in (("rule", str), ("path", str), ("line", int),
-                              ("col", int), ("message", str)):
-                if not isinstance(finding.get(key), kind):
-                    raise SchemaError(
-                        f"{section} entry missing {key!r}: {finding!r}")
-            if finding["rule"] not in known_rules:
-                raise SchemaError(
-                    f"finding references unknown rule {finding['rule']!r}")
-        if section == "suppressed":
-            for finding in doc[section]:
-                if not finding.get("justification"):
-                    raise SchemaError(
-                        "suppressed findings must carry their justification")
-    counted = summary.get("findings")
+        for i, finding in enumerate(doc[section]):
+            if finding["rule"] not in known:
+                fail(f"$.{section}[{i}].rule",
+                     f"finding references unknown rule {finding['rule']!r}")
+
+
+def _summary_counts_findings(doc: Dict[str, Any]) -> None:
+    counted = doc["summary"]["findings"]
     if counted != len(doc["findings"]):
-        raise SchemaError(
-            f"summary.findings ({counted}) disagrees with the findings "
-            f"list ({len(doc['findings'])})")
+        fail("$.summary.findings",
+             f"{counted} disagrees with the findings list ({len(doc['findings'])})")
+
+
+_FINDING = {**dict.fromkeys(("rule", "path", "message"), string()),
+            **dict.fromkeys(("line", "col"), integer())}
+
+REPORT = Schema(SCHEMA, {
+    "roots": array(string()),
+    "files_scanned": integer(),
+    "rules": array(obj({"id": string()})),
+    "findings": array(obj(_FINDING)),
+    # a suppressed finding must carry its baseline justification
+    "suppressed": array(obj({**_FINDING, "justification": string(non_empty=True)})),
+    "stale_suppressions": array(),
+    "summary": obj({"findings": integer(), "ok": boolean()}),
+}, checks=[_rules_known, _summary_counts_findings], sort_keys=True)
+
+SchemaError = ArtifactSchemaError
+validate_report = REPORT.validate
+read_report = REPORT.read
+
+
+def write_report(doc: Dict[str, Any], path: Union[str, Path]) -> None:
+    REPORT.write(path, doc)
 
 
 def render_text(result: SuiteResult, verbose: bool = False) -> str:

@@ -197,3 +197,12 @@ def test_run_schedule_timeseries_artifact_written_and_valid(tmp_path):
 def test_unknown_topology_is_rejected_with_suggestions():
     with pytest.raises(ValueError):
         CampaignRunner(quick_config(topology="moebius-9"))
+
+
+def test_write_artifact_refuses_a_non_reproducer(tmp_path):
+    doc = reproducer_dict(Schedule(topology="ring-4", seed=0), violations=[])
+    doc["kind"] = "campaign"
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        write_artifact(str(path), doc)
+    assert not path.exists()

@@ -70,6 +70,13 @@ def test_malformed_documents_are_rejected(mutate, fragment):
     assert fragment in str(excinfo.value)
 
 
+def test_bool_seed_is_rejected():
+    doc = make_doc()
+    doc["seed"] = True
+    with pytest.raises(SchemaError, match=r"\$\.seed"):
+        validate_document(doc)
+
+
 def test_write_document_refuses_invalid(tmp_path):
     doc = make_doc()
     doc["results"][0]["rows"][0] = [1]  # width mismatch

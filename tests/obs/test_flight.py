@@ -295,6 +295,20 @@ def test_validator_rejects_malformed_documents(events, why):
         validate_trace(_minimal_doc(events))
 
 
+@pytest.mark.parametrize(
+    "event, why",
+    [
+        ({"ph": "i", "name": "x", "ts": 0, "pid": True, "tid": 1}, "expected int"),
+        ({"ph": "i", "name": "x", "ts": 0, "pid": 1, "tid": False}, "expected int"),
+        ({"ph": "X", "name": "x", "ts": 0, "dur": True, "pid": 1, "tid": 1}, "dur"),
+    ],
+    ids=["bool-pid", "bool-tid", "bool-dur"],
+)
+def test_validator_rejects_bool_integers(event, why):
+    with pytest.raises(SchemaError, match=why):
+        validate_trace(_minimal_doc([event]))
+
+
 def test_validator_rejects_wrong_schema():
     with pytest.raises(SchemaError, match="schema"):
         validate_trace({"schema": "nope", "traceEvents": []})

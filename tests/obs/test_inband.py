@@ -363,9 +363,10 @@ def _valid_doc():
         lambda d: d["slo"].update(p50_ns="fast"),
         lambda d: d["slo"].update(drops=[1, 2]),
         lambda d: d["flows"][0].update(deliveries=True),
+        lambda d: d["recent"][0]["hops"][0].__setitem__(3, ["not-a-port"]),
     ],
     ids=["schema", "no-flows", "max-hops", "negative", "p50-type",
-         "drops-type", "bool-int"],
+         "drops-type", "bool-int", "hop-ports"],
 )
 def test_validator_rejects_malformed(mutate):
     doc = _valid_doc()

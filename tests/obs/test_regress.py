@@ -256,6 +256,8 @@ def test_verdict_round_trip(tmp_path):
         lambda d: d.update(verdict="maybe"),
         lambda d: d.update(out_of_band=0),  # no longer matches the count
         lambda d: d.update(baseline_runs=0),
+        lambda d: d.update(baseline_runs=True),
+        lambda d: d.update(out_of_band=bool(d["out_of_band"])),
         lambda d: d["comparisons"][0].update(status="weird"),
         lambda d: d["comparisons"][0].update(metric=""),
         lambda d: d["comparisons"][0].update(current="fast"),

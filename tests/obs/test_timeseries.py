@@ -188,6 +188,7 @@ def test_artifact_round_trip(tmp_path):
         lambda d: d["series"][0]["values"].__setitem__(0, "oops"),
         lambda d: d["series"][0].update(dropped=-1),
         lambda d: d.update(marks=[{"t_ns": "late", "component": "x", "event": "y"}]),
+        lambda d: d.update(marks=[{"t_ns": True, "component": "x", "event": "y"}]),
     ],
 )
 def test_validator_rejects_malformed(mutate):

@@ -78,6 +78,9 @@ def test_validate_rejects_malformed_documents():
                     "stale_suppressions": 0, "by_rule": {}, "ok": True},
     }
     validate_report(good)
+    # JSON booleans are not integers
+    with pytest.raises(SchemaError):
+        validate_report(dict(good, files_scanned=True))
     # summary count must agree with the findings list
     bad = dict(good, summary=dict(good["summary"], findings=3))
     with pytest.raises(SchemaError):

@@ -20,7 +20,7 @@ from repro.constants import SEC
 from repro.network import Network
 from repro.obs.export import bench_document, bench_result
 from repro.topology.generators import resolve_topology
-from repro.traffic.artifact import read_traffic, validate_traffic, write_traffic
+from repro.traffic.artifact import TrafficSchemaError, read_traffic, validate_traffic, write_traffic
 
 TOPOLOGIES = ("ring-4", "torus-3x4", "src-lan-30")
 
@@ -155,3 +155,47 @@ def test_artifact_roundtrip(tmp_path):
     doc = read_traffic(path)
     assert doc["name"] == "roundtrip"
     assert doc["schema"] == "repro.traffic/1"
+
+
+_DOC_CACHE = {}
+
+
+def _valid_traffic_doc():
+    if "doc" not in _DOC_CACHE:
+        net = _run_scenario("ring-4", traffic=dict(SMALL_TRAFFIC))
+        _DOC_CACHE["doc"] = json.dumps(validate_traffic(net.traffic_doc("valid")))
+    return json.loads(_DOC_CACHE["doc"])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(schema="repro.traffic/999"),
+        lambda d: d.pop("config"),
+        lambda d: d["config"].update(pattern="zipf"),
+        lambda d: d["config"].update(mode="teleport"),
+        lambda d: d["config"].update(flows=True),
+        lambda d: d.update(launched=1),
+        lambda d: d.update(flows_completed=-1),
+        lambda d: d.update(offered_bytes=-1.0),
+        lambda d: d.update(goodput_bytes_per_sec="fast"),
+        lambda d: d["latency"].update(p99_ns="slow"),
+        lambda d: d.update(drops={"": 1}),
+        lambda d: d.update(drops={"unrouted": True}),
+        lambda d: d["segments"].pop("recorded"),
+        lambda d: d["windows"][0].update(start_ns=-1),
+        lambda d: d["flows_sample"][0].update(state="lost"),
+        lambda d: d["flows_sample"][0].update(size_bytes=1.5),
+        lambda d: d.pop("flows_sample"),
+    ],
+    ids=["schema", "no-config", "pattern", "mode", "bool-flows", "int-launched",
+         "negative", "negative-bytes", "goodput-type", "p99-type", "empty-cause",
+         "bool-drop", "segments", "window-start", "flow-state", "float-size",
+         "no-sample"],
+)
+def test_validator_rejects_malformed(mutate):
+    doc = _valid_traffic_doc()
+    assert doc["windows"] and doc["flows_sample"], "need entries to mutate"
+    mutate(doc)
+    with pytest.raises(TrafficSchemaError):
+        validate_traffic(doc)
