@@ -26,6 +26,8 @@ class ControlMessage:
 
     epoch: int
     sender_uid: Uid
+    #: the reliable-delivery layer replaces this process-wide default with
+    #: a per-run id from ``Simulator.msg_ids`` when it sends the message
     msg_id: int = field(default_factory=lambda: next(_msg_ids))
 
     #: whether the reliable-delivery layer retransmits until acked

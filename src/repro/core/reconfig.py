@@ -247,6 +247,8 @@ class ReconfigEngine:
     # -- reliable one-hop delivery ---------------------------------------------------------
 
     def _send_reliable(self, port: int, message: ControlMessage) -> None:
+        # the id acks and the retransmission records refer to
+        message.msg_id = next(self.ap.sim.msg_ids)
         pending = _Pending(port, message)
         self._pending[message.msg_id] = pending
         self._transmit(pending)

@@ -212,6 +212,7 @@ class HostController:
             self.packets_dropped_tx += 1
             return False
         packet.created_at = packet.created_at or self.sim.now
+        packet.packet_id = next(self.sim.packet_ids)
         port.enqueue(packet)
         return True
 

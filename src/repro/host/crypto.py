@@ -23,8 +23,6 @@ from typing import Dict, Iterable, Set
 
 from repro.types import Uid
 
-_key_ids = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class EncryptedPayload:
@@ -47,10 +45,12 @@ class KeyStore:
 
     def __init__(self) -> None:
         self._holders: Dict[int, Set[Uid]] = {}
+        # per-installation ids: same installation, same key ids
+        self._key_ids = itertools.count(1)
 
     def issue(self, holders: Iterable[Uid]) -> int:
         """Create a session key shared by ``holders``; returns its id."""
-        key_id = next(_key_ids)
+        key_id = next(self._key_ids)
         self._holders[key_id] = set(holders)
         return key_id
 

@@ -19,8 +19,6 @@ from repro.host.localnet import LocalNet
 from repro.net.packet import Packet
 from repro.types import Uid
 
-_rpc_ids = itertools.count(1)
-
 
 class Sink:
     """Counts datagrams arriving at a LocalNet instance."""
@@ -141,6 +139,8 @@ class RpcClient:
         #: timestamps of successful completions, for outage analysis
         self.completion_times: List[int] = []
         self._outstanding: Optional[int] = None
+        # per-client ids: a response only ever answers this client's call
+        self._rpc_ids = itertools.count(1)
         self._issued_at = 0
         self._stopped = False
         localnet.on_datagram = self._receive
@@ -152,7 +152,7 @@ class RpcClient:
     def _issue(self) -> None:
         if self._stopped:
             return
-        rpc_id = next(_rpc_ids)
+        rpc_id = next(self._rpc_ids)
         self._outstanding = rpc_id
         self._issued_at = self.sim.now
         self.localnet.send(

@@ -21,7 +21,7 @@ state to "now" and reprograms the boundary event.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, Optional, Sequence
 
 from repro.constants import BYTE_TIME_NS, CUT_THROUGH_BYTES, DEFAULT_FIFO_BYTES
 from repro.net.flowcontrol import Directive
@@ -29,6 +29,8 @@ from repro.net.packet import Packet
 from repro.sim.engine import EventHandle, Simulator
 
 _EPS = 1e-6
+#: "no boundary candidate": above every finite delay
+_NEVER = float("inf")
 
 
 class DrainTarget:
@@ -248,6 +250,14 @@ class ReceiveFifo:
         self._recompute()
 
     # -- internal dynamics ---------------------------------------------------------
+    #
+    # The dynamics run 125k passes on the lan30-cut-restore benchmark
+    # workload and 312k on torus-packet-observed (seed 0): one per
+    # _recompute entry plus one per completed head it loops over.  The
+    # helpers are inlined, but every float expression below is the same
+    # expression, evaluated in the same order, as in the plain version in
+    # tests/net/reference_dataplane.py: accumulation order is part of the
+    # byte-identity contract for packet timing.
 
     def _advance(self) -> None:
         now = self.sim.now
@@ -256,16 +266,27 @@ class ReceiveFifo:
             return
         slots = dt / BYTE_TIME_NS
         queue = self.queue
-        entry = queue[-1] if queue and queue[-1].arriving else None
-        if entry is not None and self.in_rate > 0:
-            entry.bytes_in = min(float(entry.size), entry.bytes_in + self.in_rate * slots)
-        head = queue[0] if queue else None
-        if head is not None and self.drain_rate > 0:
-            moved = min(self.drain_rate * slots, head.bytes_in - head.bytes_out)
-            head.bytes_out += moved
-            self.bytes_forwarded += moved
+        if queue:
+            entry = queue[-1]
+            in_rate = self.in_rate
+            # min() spelled as conditionals (same operand, same tie winner)
+            if entry.arriving and in_rate > 0:
+                size = float(entry.size)
+                arrived = entry.bytes_in + in_rate * slots
+                entry.bytes_in = arrived if arrived < size else size
+            drain_rate = self.drain_rate
+            if drain_rate > 0:
+                head = queue[0]
+                moved = drain_rate * slots
+                available = head.bytes_in - head.bytes_out
+                if available < moved:
+                    moved = available
+                head.bytes_out += moved
+                self.bytes_forwarded += moved
         self._last_update = now
-        level = self._level()
+        level: float = 0  # _level(), inlined
+        for entry in queue:
+            level += entry.bytes_in - entry.bytes_out
         if level > self.max_level:
             self.max_level = level
         if level > self.capacity + _EPS and not self.overflowed:
@@ -282,78 +303,101 @@ class ReceiveFifo:
             if self.on_overflow is not None:
                 self.on_overflow(victim.packet if victim else None)
 
-    def _effective_in_rate(self) -> float:
-        queue = self.queue
-        return self.in_rate if queue and queue[-1].arriving else 0.0
-
-    def _desired_drain_rate(self) -> float:
-        queue = self.queue
-        head = queue[0] if queue else None
-        if head is None or head.targets is None:
-            return 0.0
-        if not head.drain_started:
-            threshold = min(self.cut_through_bytes, head.size)
-            if head.bytes_in + _EPS < threshold:
-                return 0.0
-        broadcast = head.broadcast
-        for t in head.targets:
-            if not t.drain_allowed(broadcast):
-                return 0.0
-        if head.bytes_in - head.bytes_out > _EPS:
-            return 1.0
-        if head.arriving or (queue and queue[-1] is head and self.in_rate > 0):
-            # pass-through: forward at the arrival rate
-            rate = self.in_rate if head.arriving and queue[-1] is head else 0.0
-            if rate <= 0 and head.drain_started and head.bytes_out + _EPS < head.size:
-                if self.on_underflow is not None:
-                    self.on_underflow(head.packet)
-            return rate
-        return 0.0
-
     def _recompute(self) -> None:
         queue = self.queue
-        head = queue[0] if queue else None
+        while queue:
+            head = queue[0]
 
-        # head routing request: first two address bytes present
-        if head is not None and not head.requested and head.bytes_in + _EPS >= 2:
-            head.requested = True
-            if self.on_head_ready is not None:
-                self.on_head_ready(head.packet)
+            # head routing request: first two address bytes present.  The
+            # callback may connect a drain (re-entering this method) but
+            # never adds or removes queue entries.
+            if not head.requested and head.bytes_in + _EPS >= 2:
+                head.requested = True
+                if self.on_head_ready is not None:
+                    self.on_head_ready(head.packet)
 
-        # (re)establish drain rate and emit begin/rate markers downstream
-        new_rate = self._desired_drain_rate()
-        if head is not None and head.targets is not None:
-            if new_rate > 0 and not head.drain_started:
-                head.drain_started = True
-                if head.arriving:
-                    self.cut_through_packets += 1
+            # (re)establish drain rate and emit begin/rate markers downstream
+            targets = head.targets
+            if targets is None:
+                self.drain_rate = 0.0
+            else:
+                # the drain rate the head packet wants now
+                if not head.drain_started and head.bytes_in + _EPS < min(
+                    self.cut_through_bytes, head.size
+                ):
+                    new_rate = 0.0
                 else:
-                    self.buffered_packets += 1
-                for target in head.targets:
-                    target.notify_begin(head.packet, head.broadcast)
-            if head.drain_started and abs(new_rate - self.drain_rate) > _EPS:
-                for target in head.targets:
-                    target.notify_rate(new_rate)
-        self.drain_rate = new_rate if (head is not None and head.drain_started) else 0.0
+                    broadcast = head.broadcast
+                    for target in targets:
+                        if not target.drain_allowed(broadcast):
+                            new_rate = 0.0
+                            break
+                    else:
+                        if head.bytes_in - head.bytes_out > _EPS:
+                            new_rate = 1.0
+                        elif head.arriving or (queue[-1] is head and self.in_rate > 0):
+                            # pass-through: forward at the arrival rate
+                            new_rate = self.in_rate if head.arriving and queue[-1] is head else 0.0
+                            if (
+                                new_rate <= 0
+                                and head.drain_started
+                                and head.bytes_out + _EPS < head.size
+                                and self.on_underflow is not None
+                            ):
+                                self.on_underflow(head.packet)
+                        else:
+                            new_rate = 0.0
+                if new_rate > 0 and not head.drain_started:
+                    head.drain_started = True
+                    if head.arriving:
+                        self.cut_through_packets += 1
+                    else:
+                        self.buffered_packets += 1
+                    for target in targets:
+                        target.notify_begin(head.packet, head.broadcast)
+                if head.drain_started:
+                    if abs(new_rate - self.drain_rate) > _EPS:
+                        for target in targets:
+                            target.notify_rate(new_rate)
+                    self.drain_rate = new_rate
+                else:
+                    self.drain_rate = 0.0
 
-        # head completion
-        if head is not None and head.bytes_out + _EPS >= head.size:
-            self._complete_head()
-            return  # _complete_head recurses into _recompute
+            # head completion: pop it and promote the next packet, whose
+            # routing request may now be issued
+            if head.bytes_out + _EPS >= head.size:
+                self._complete_head()
+                continue
 
-        # flow-control directive from level trajectory
-        level = self._level()
-        net = self._effective_in_rate() - self.drain_rate
-        if level > self.stop_threshold + _EPS:
-            self._set_level_stop(True)
-        elif level < self.stop_threshold - _EPS or (abs(level - self.stop_threshold) <= _EPS and net <= 0):
+            # flow-control directive from level trajectory
+            level: float = 0  # _level(), inlined
+            for entry in queue:
+                level += entry.bytes_in - entry.bytes_out
+            net = (self.in_rate if queue[-1].arriving else 0.0) - self.drain_rate
+            threshold = self.stop_threshold
+            if level > threshold + _EPS:
+                if not self._level_stop:
+                    self._set_level_stop(True)
+            elif level < threshold - _EPS or (abs(level - threshold) <= _EPS and net <= 0):
+                if self._level_stop:
+                    self._set_level_stop(False)
+
+            self._program_boundary(head, level, net)
+            return
+
+        # empty FIFO: nothing drains, and the level (0) and net rate (0.0)
+        # leave no boundary to program
+        self.drain_rate = 0.0
+        threshold = self.stop_threshold
+        if threshold + _EPS < 0:
+            if not self._level_stop:
+                self._set_level_stop(True)
+        elif (threshold - _EPS > 0 or abs(threshold) <= _EPS) and self._level_stop:
             self._set_level_stop(False)
-
-        self._program_boundary(level, net)
-
-    # _recompute is entered 80k+ times on the src-lan profile scenario;
-    # everything below stays expression-for-expression identical to keep
-    # the float trajectories (and hence packet timing) byte-identical.
+        boundary = self._boundary
+        if boundary is not None:
+            boundary.cancel()
+            self._boundary = None
 
     def _set_level_stop(self, stop: bool) -> None:
         if stop == self._level_stop:
@@ -363,6 +407,7 @@ class ReceiveFifo:
             self.on_level_directive(Directive.STOP if stop else Directive.START)
 
     def _complete_head(self) -> None:
+        """Pop the fully drained head packet and announce its end."""
         head = self.queue.popleft()
         self.drain_rate = 0.0
         if head.targets is not None:
@@ -370,53 +415,69 @@ class ReceiveFifo:
                 target.notify_end(head.packet)
         if self.on_packet_drained is not None:
             self.on_packet_drained(head.packet)
-        # promote the next packet: its routing request may now be issued
-        self._recompute()
 
-    def _program_boundary(self, level: float, net: float) -> None:
-        """Schedule the earliest future event that changes the dynamics."""
-        candidates: List[float] = []
+    def _program_boundary(self, head: FifoPacket, level: float, net: float) -> None:
+        """Schedule the earliest future event that changes the dynamics:
+        the smallest candidate delay (in byte slots) beyond ``_EPS``.
+        Every candidate is a finite quotient, so ``_NEVER`` means none."""
+        best = _NEVER
         queue = self.queue
-        head = queue[0] if queue else None
-        arriving = queue[-1] if queue and queue[-1].arriving else None
+        arriving = queue[-1] if queue[-1].arriving else None
         in_rate = self.in_rate if arriving is not None else 0.0
 
-        if head is not None:
-            if not head.requested and in_rate > 0 and head is arriving:
-                candidates.append((2.0 - head.bytes_in) / in_rate)
-            if head.targets is not None and not head.drain_started and in_rate > 0 \
-                    and head is arriving:
-                threshold = min(self.cut_through_bytes, head.size)
-                candidates.append((threshold - head.bytes_in) / in_rate)
-            drain_rate = self.drain_rate
-            if drain_rate > 0:
-                # completion of the head packet
-                candidates.append((head.size - head.bytes_out) / drain_rate)
-                # drain catches up with arrival (stall / pass-through switch)
-                available = head.bytes_in - head.bytes_out
-                if head is arriving and drain_rate > in_rate:
-                    candidates.append(available / (drain_rate - in_rate))
-                elif not head.arriving and available < head.size - head.bytes_out:
-                    candidates.append(available / drain_rate)
+        if head is arriving and in_rate > 0:
+            if not head.requested:
+                c = (2.0 - head.bytes_in) / in_rate
+                if _EPS < c < best:
+                    best = c
+            if head.targets is not None and not head.drain_started:
+                cut_through = min(self.cut_through_bytes, head.size)
+                c = (cut_through - head.bytes_in) / in_rate
+                if _EPS < c < best:
+                    best = c
+        drain_rate = self.drain_rate
+        if drain_rate > 0:
+            # completion of the head packet
+            c = (head.size - head.bytes_out) / drain_rate
+            if _EPS < c < best:
+                best = c
+            # drain catches up with arrival (stall / pass-through switch)
+            available = head.bytes_in - head.bytes_out
+            if head is arriving and drain_rate > in_rate:
+                c = available / (drain_rate - in_rate)
+                if _EPS < c < best:
+                    best = c
+            elif not head.arriving and available < head.size - head.bytes_out:
+                c = available / drain_rate
+                if _EPS < c < best:
+                    best = c
 
         # aim half a byte past the watermark so the crossing is strict
         # (landing exactly on it would reschedule a zero-length step)
-        if net > _EPS and level <= self.stop_threshold + _EPS:
-            candidates.append((self.stop_threshold - level) / net + 0.5)
-        elif net < -_EPS and level >= self.stop_threshold - _EPS:
-            candidates.append((level - self.stop_threshold) / (-net) + 0.5)
+        threshold = self.stop_threshold
+        if net > _EPS and level <= threshold + _EPS:
+            c = (threshold - level) / net + 0.5
+            if _EPS < c < best:
+                best = c
+        elif net < -_EPS and level >= threshold - _EPS:
+            c = (level - threshold) / (-net) + 0.5
+            if _EPS < c < best:
+                best = c
         # capacity crossing: detect overflow when it happens, not later
         if net > _EPS and level <= self.capacity + _EPS:
-            candidates.append((self.capacity - level) / net + 0.5)
+            c = (self.capacity - level) / net + 0.5
+            if _EPS < c < best:
+                best = c
 
-        future = [c for c in candidates if c > _EPS]
         boundary = self._boundary
-        if not future:
+        if best == _NEVER:
             if boundary is not None:
                 boundary.cancel()
                 self._boundary = None
             return
-        delay_ns = max(1, int(round(min(future) * BYTE_TIME_NS)))
+        delay_ns = round(best * BYTE_TIME_NS)
+        if delay_ns < 1:
+            delay_ns = 1
         if boundary is not None:
             # reprogramming to the same instant: keep the armed event.
             # The handler (advance + recompute) is idempotent at an

@@ -35,6 +35,11 @@ class Directive(Enum):
 
 #: directives that permit transmission when latched at the transmitter
 _PERMITS_TRANSMISSION = frozenset({Directive.START, Directive.HOST})
+#: the same two members, bound once for the per-event identity test in
+#: transmission_allowed (a frozenset lookup calls the Python-level
+#: ``Enum.__hash__``)
+_START = Directive.START
+_HOST = Directive.HOST
 
 
 def next_fc_slot(now: int, phase: int) -> int:
@@ -194,8 +199,12 @@ class FlowControlReceiver:
 
     @property
     def transmission_allowed(self) -> bool:
-        """Whether the latched directive allows sending packet bytes."""
-        return self.last in _PERMITS_TRANSMISSION
+        """Whether the latched directive allows sending packet bytes.
+
+        Read from ``last`` on every call, never cached: experiments preset
+        the latch by assigning ``last`` directly."""
+        last = self.last
+        return last is _START or last is _HOST
 
     @property
     def host_attached(self) -> bool:

@@ -47,6 +47,12 @@ class LinkState(Enum):
     NOISY = "noisy"
 
 
+#: the states a transmission is delivered in, bound once for the
+#: per-packet identity tests in Link._route and received_condition
+_UP = LinkState.UP
+_NOISY = LinkState.NOISY
+
+
 class Endpoint:
     """One side of a link: the receive path plus identity information.
 
@@ -125,15 +131,17 @@ class Link:
 
     def _route(self, sender: Endpoint) -> Optional[Tuple[Endpoint, int]]:
         """Return (receiver, delay) for a transmission, or None if lost."""
-        if self.state is LinkState.CUT:
+        state = self.state
+        if state is _UP or state is _NOISY:
+            # the per-packet case first: delivered to the far end
+            return (self.b if sender is self.a else self.other(sender)), self.delay_ns
+        if state is LinkState.CUT:
             return None
         if self._reflecting_for(sender):
             return sender, 2 * self.delay_ns
-        if self.state in (LinkState.REFLECTING_A, LinkState.REFLECTING_B):
-            # the reflecting side's *far* endpoint is unpowered: transmissions
-            # toward it vanish
-            return None
-        return self.other(sender), self.delay_ns
+        # the reflecting side's *far* endpoint is unpowered: transmissions
+        # toward it vanish
+        return None
 
     # -- transmission -------------------------------------------------------------
 
@@ -175,15 +183,16 @@ class Link:
     def received_condition(self, listener: Endpoint) -> str:
         """What ``listener`` currently hears: 'normal', 'silence',
         'sync-only', 'own-signal', or 'noise'."""
-        if self.state is LinkState.CUT:
+        state = self.state
+        if state is _UP:
+            return self.other(listener).describe_transmission()
+        if state is _NOISY:
+            return "noise"
+        if state is LinkState.CUT:
             return "silence"
         if self._reflecting_for(listener):
             return "own-signal"
-        if self.state in (LinkState.REFLECTING_A, LinkState.REFLECTING_B):
-            return "silence"
-        if self.state is LinkState.NOISY:
-            return "noise"
-        return self.other(listener).describe_transmission()
+        return "silence"
 
 
 def connect(sim: Simulator, a: Endpoint, b: Endpoint, length_km: float = 0.1, name: str = "") -> Link:

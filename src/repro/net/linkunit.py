@@ -259,48 +259,45 @@ class LinkUnit(Endpoint):
 
     def sample_status(self) -> StatusSample:
         """Read and clear the accumulated status bits."""
-        sample = StatusSample()
-        sample.is_host = self.fc_receiver.host_attached
-        sample.xmit_ok = self.fc_receiver.transmission_allowed
-        sample.in_packet = self.tx.current is not None
-
+        fc = self.fc_receiver
+        # the latched directive, read once (a port sample runs every
+        # sampling period on every port)
+        last = fc.last
+        xmit_ok = fc.transmission_allowed
         condition = self.link.received_condition(self) if self.link else "silence"
-        sample.bad_code = condition in ("silence", "noise")
-        sample.bad_syntax = condition == "sync-only"
+        # the far end's directive stream is heard (possibly our own)
+        heard = condition == "normal" or condition == "own-signal"
+        fifo = self.fifo
 
-        sample.overflow = self._overflow_flag
-        sample.underflow = self._underflow_flag
+        forwarded = fifo.bytes_forwarded - self._last_bytes_forwarded
+        seen = fifo.packets_seen - self._last_packets_seen
+        self._last_bytes_forwarded = fifo.bytes_forwarded
+        self._last_packets_seen = fifo.packets_seen
+
+        sample = StatusSample(
+            is_host=last is Directive.HOST,
+            xmit_ok=xmit_ok,
+            in_packet=self.tx.current is not None,
+            bad_code=condition == "silence" or condition == "noise",
+            bad_syntax=condition == "sync-only",
+            overflow=self._overflow_flag,
+            underflow=self._underflow_flag,
+            # directives recur every flow-control slot on real links, so
+            # a latched idhy is a chronic condition, not a one-shot event
+            idhy_seen=fc.idhy_seen > 0 or (condition == "normal" and last is Directive.IDHY),
+            panic_seen=fc.panic_seen > 0,
+            progress_seen=forwarded > 0 or (seen == 0 and not fifo.queue),
+            # StartSeen: a directive permitting transmission is on the
+            # wire.  Directives recur every flow-control slot, so while the
+            # remote's latched transmission is start/host the condition is
+            # chronic.
+            start_seen=heard and xmit_ok,
+            stop_seen=heard and last is Directive.STOP,
+        )
         self._overflow_flag = False
         self._underflow_flag = False
-
-        # directives recur every flow-control slot on real links, so a
-        # latched idhy is a chronic condition, not a one-shot event
-        sample.idhy_seen = (
-            self.fc_receiver.idhy_seen > 0
-            or (condition == "normal" and self.fc_receiver.last is Directive.IDHY)
-        )
-        sample.panic_seen = self.fc_receiver.panic_seen > 0
-        self.fc_receiver.idhy_seen = 0
-        self.fc_receiver.panic_seen = 0
-
-        # StartSeen: a directive permitting transmission is on the wire.
-        # Directives recur every flow-control slot, so while the remote's
-        # latched transmission is start/host the condition is chronic.
-        sample.start_seen = (
-            condition in ("normal", "own-signal")
-            and self.fc_receiver.last in (Directive.START, Directive.HOST)
-        )
-        sample.stop_seen = (
-            condition in ("normal", "own-signal")
-            and self.fc_receiver.last is Directive.STOP
-        )
-
-        forwarded = self.fifo.bytes_forwarded - self._last_bytes_forwarded
-        seen = self.fifo.packets_seen - self._last_packets_seen
-        self._last_bytes_forwarded = self.fifo.bytes_forwarded
-        self._last_packets_seen = self.fifo.packets_seen
-        waiting = bool(self.fifo.queue)
-        sample.progress_seen = forwarded > 0 or (seen == 0 and not waiting)
+        fc.idhy_seen = 0
+        fc.panic_seen = 0
         return sample
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

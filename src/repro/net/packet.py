@@ -57,7 +57,9 @@ class Packet:
     encrypted: bool = False
     #: set when a FIFO overflow or injected noise damaged the packet
     corrupted: bool = False
-    #: unique id for tracing
+    #: unique id for tracing.  A packet entering a simulated fabric takes
+    #: a per-run id from ``Simulator.packet_ids``; the process-wide default
+    #: only serves packets built outside a simulation.
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     #: creation time (filled by the injector)
     created_at: int = 0
@@ -71,19 +73,22 @@ class Packet:
     #: off -- no list is allocated on the disabled path
     hops: Optional[List[Tuple[int, str, int, Tuple[int, ...], float]]] = None
 
+    #: total bytes transmitted on a link for this packet, latched at
+    #: construction (the FIFOs and transmitters read it per packet event)
+    wire_bytes: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not 0 <= self.data_bytes <= MAX_DATA_BYTES:
             raise ValueError(f"data length out of range: {self.data_bytes}")
         self.dest_short = truncate_address(self.dest_short)
         self.src_short = truncate_address(self.src_short)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Total bytes transmitted on a link for this packet."""
         if self.ptype is PacketType.CLIENT:
-            return AUTONET_HEADER_BYTES + ETHERNET_HEADER_BYTES + self.data_bytes + CRC_BYTES
-        # control packets: Autonet header + encoded message + CRC
-        return AUTONET_HEADER_BYTES + self.data_bytes + CRC_BYTES
+            self.wire_bytes = (
+                AUTONET_HEADER_BYTES + ETHERNET_HEADER_BYTES + self.data_bytes + CRC_BYTES
+            )
+        else:
+            # control packets: Autonet header + encoded message + CRC
+            self.wire_bytes = AUTONET_HEADER_BYTES + self.data_bytes + CRC_BYTES
 
     @property
     def is_broadcast(self) -> bool:

@@ -119,32 +119,40 @@ class SchedulingEngine:
         at = max(self.sim.now, self._busy_until)
         self._scan_event = self.sim.at(at, self._scan)
 
-    def _free_ports(self) -> Set[int]:
-        return {
-            p
-            for p in range(self.n_ports + 1)
-            if not self.port_busy[p] and p not in self._reserved
-        }
-
     def _scan(self) -> None:
+        """One pass of the free-port vector over the queue, oldest first.
+
+        A port is free when it is in ``range(n_ports + 1)``, not busy and
+        not reserved by a broadcast request.  Entry port vectors are
+        sorted, so walking one in order finds an alternative request's
+        lowest free port first."""
         self._scan_event = None
-        free = self._free_ports()
+        n_ports = self.n_ports
+        busy = self.port_busy
+        reserved = self._reserved
         for request in self.queue:
-            if request.entry.broadcast:
-                want = set(request.entry.ports)
-                newly = (want - request.captured) & free
-                for port in newly:
-                    request.captured.add(port)
-                    self._reserved[port] = request
-                free -= newly
-                if request.captured == want:
-                    self._grant(request, tuple(sorted(want)))
+            entry = request.entry
+            if entry.broadcast:
+                # capture every free wanted port (reserving it against
+                # younger requests); grant once the whole set is held
+                captured = request.captured
+                complete = True
+                for port in entry.ports:
+                    if port in captured:
+                        continue
+                    if 0 <= port <= n_ports and not busy[port] and port not in reserved:
+                        captured.add(port)
+                        reserved[port] = request
+                    else:
+                        complete = False
+                if complete:
+                    self._grant(request, tuple(sorted(captured)))
                     return
             else:
-                matches = sorted(set(request.entry.ports) & free)
-                if matches:
-                    self._grant(request, (matches[0],))
-                    return
+                for port in entry.ports:
+                    if 0 <= port <= n_ports and not busy[port] and port not in reserved:
+                        self._grant(request, (port,))
+                        return
         # nothing grantable now; wait for the next port_freed/add_request
 
     def _grant(self, request: Request, ports: Tuple[int, ...]) -> None:

@@ -155,6 +155,7 @@ class Switch:
         """The control processor queues a packet for transmission."""
         if not self.powered:
             return
+        packet.packet_id = next(self.sim.packet_ids)
         self._cp_fifo.begin_packet(packet)
         entry = self._cp_fifo.queue[-1]
         entry.bytes_in = float(entry.size)
@@ -193,7 +194,9 @@ class Switch:
         self.engine.add_request(Request(in_port, entry, packet))
 
     def _granted(self, request: Request, ports: Tuple[int, ...]) -> None:
-        fifo = self._fifo_for(request.in_port)
+        in_port = request.in_port
+        packet = request.packet
+        fifo = self._fifo_for(in_port)
         targets: List[DrainTarget] = []
         for port in ports:
             if port == 0:
@@ -202,19 +205,15 @@ class Switch:
                 unit = self.ports[port]
                 targets.append(unit.tx)
                 unit.set_drain_source(fifo)
-        self.crossbar.connect(request.in_port, ports)
-        request.packet.record_hop(self.name, request.in_port, ports)
+        self.crossbar.connect(in_port, ports)
+        packet.record_hop(self.name, in_port, ports)
         ib = self.sim.inband
         if ib is not None:
-            ib.record_hop(
-                request.packet, self.name, request.in_port, ports,
-                fifo.peek_level(),
-            )
+            ib.record_hop(packet, self.name, in_port, ports, fifo.peek_level())
         self.packets_forwarded += 1
-        self.port_forwarded[request.in_port] = (
-            self.port_forwarded.get(request.in_port, 0) + 1
-        )
-        fifo.connect_drain(targets, broadcast=request.entry.broadcast)
+        forwarded = self.port_forwarded
+        forwarded[in_port] = forwarded.get(in_port, 0) + 1
+        fifo.connect_drain(targets, request.entry.broadcast)
 
     def _packet_drained(self, in_port: int, packet: Packet) -> None:
         """The head packet has fully left ``in_port``'s FIFO."""

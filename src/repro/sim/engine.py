@@ -27,9 +27,10 @@ the broadcast deadlock in section 6.6.6 of the paper.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.obs.registry import MetricsRegistry
 
@@ -85,6 +86,12 @@ class Simulator:
         self._idle_hooks: List[Callable[["Simulator"], None]] = []
         #: number of events dispatched so far (useful for budget guards)
         self.events_dispatched: int = 0
+        #: per-run id sources.  Packets entering the fabric and reliably
+        #: delivered control messages draw their ids here, so the ids the
+        #: inband and flight artifacts carry depend on the run alone, not
+        #: on what else ran earlier in the process.
+        self.packet_ids: Iterator[int] = itertools.count(1)
+        self.msg_ids: Iterator[int] = itertools.count(1)
         #: simulation-wide metrics registry (repro.obs).  Disabled by
         #: default: the event loop itself stays free of per-event
         #: instrument calls; enable_metrics() registers snapshot-time
@@ -221,11 +228,43 @@ class Simulator:
         profiler = self.profiler
         if profiler is not None:
             profiler.begin_run()
-        pop = self._pop_runnable
+        # the calendar cursor lives in locals for the run and is written
+        # back on exit; handlers only append to buckets and push times
+        buckets = self._buckets
+        times = self._times
+        bucket = self._bucket
+        bucket_time = self._bucket_time
+        pos = self._bucket_pos
         try:
             while not self._stopped:
-                handle = pop()
-                if handle is None:
+                # the next live handle in (time, seq) order
+                if bucket is not None:
+                    # a handler may append to this bucket while it drains
+                    if pos < len(bucket):
+                        handle = bucket[pos]
+                        pos += 1
+                        if handle.cancelled:
+                            continue
+                    else:
+                        # exhausted: drop the bucket and move on.  No
+                        # same-time append can happen later -- the clock
+                        # only moves forward, and at() refuses past
+                        # timestamps.
+                        del buckets[bucket_time]
+                        bucket = None
+                        continue
+                elif times:
+                    time = heappop(times)
+                    # a bucket can be re-created (and its timestamp
+                    # re-pushed) after draining while now still equals it;
+                    # skip stale entries
+                    found = buckets.get(time)
+                    if found is not None:
+                        bucket = found
+                        bucket_time = time
+                        pos = 0
+                    continue
+                else:
                     if self._fire_idle_hooks():
                         continue
                     if until is not None:
@@ -240,9 +279,9 @@ class Simulator:
                     # this bucket first.  Re-entering from the heap rescans
                     # from index 0, which is safe: dispatched handles read
                     # as cancelled and are skipped.
-                    self._bucket_pos -= 1
-                    heappush(self._times, self._bucket_time)
-                    self._bucket = None
+                    pos -= 1
+                    heappush(times, bucket_time)
+                    bucket = None
                     self.now = until
                     break
                 self.now = time
@@ -269,6 +308,9 @@ class Simulator:
                 if max_events is not None and dispatched >= max_events:
                     break
         finally:
+            self._bucket = bucket
+            self._bucket_time = bucket_time
+            self._bucket_pos = pos
             self._running = False
             if self.profiler is not None:
                 self.profiler.end_run()
@@ -277,39 +319,6 @@ class Simulator:
     def run_for(self, duration: int) -> int:
         """Run for ``duration`` nanoseconds of simulated time."""
         return self.run(until=self.now + duration)
-
-    def _pop_runnable(self) -> Optional[EventHandle]:
-        """Consume and return the next live handle in (time, seq) order."""
-        bucket = self._bucket
-        buckets = self._buckets
-        while True:
-            if bucket is not None:
-                pos = self._bucket_pos
-                n = len(bucket)
-                while pos < n:
-                    handle = bucket[pos]
-                    pos += 1
-                    if not handle.cancelled:
-                        self._bucket_pos = pos
-                        return handle
-                    # a handler may append to this bucket while it drains
-                    n = len(bucket)
-                # exhausted: drop the bucket and move on.  No same-time
-                # append can happen later -- the clock only moves forward,
-                # and at() refuses past timestamps.
-                del buckets[self._bucket_time]
-                self._bucket = bucket = None
-            times = self._times
-            if not times:
-                return None
-            time = heappop(times)
-            # a bucket can be re-created (and its timestamp re-pushed)
-            # after draining while now still equals it; skip stale entries
-            found = buckets.get(time)
-            if found is not None:
-                self._bucket = bucket = found
-                self._bucket_time = time
-                self._bucket_pos = 0
 
     def _fire_idle_hooks(self) -> bool:
         """Run idle hooks; report whether any new events became runnable."""

@@ -356,3 +356,17 @@ def test_profiler_unit_accounting():
     assert b.category == "b"
     # no run time observed yet: throughput degrades to zero, not a crash
     assert prof.events_per_sec() == 0.0
+
+
+def _flight_trace_json():
+    net = Network(ring(4), seed=0, flight=True)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    doc = net.flight_trace()
+    assert '"msg_id"' in json.dumps(doc), "the trace must carry message ids"
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_same_network_twice_in_one_process_gives_identical_flight_trace():
+    """Reliable control messages take their ids from the simulator, so the
+    retransmission records of a second same-seed build match the first."""
+    assert _flight_trace_json() == _flight_trace_json()

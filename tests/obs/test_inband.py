@@ -392,3 +392,22 @@ def test_cli_no_subcommand_prints_listing(capsys):
     assert "subcommands:" in err
     for sub in ("export", "why", "profile", "watch", "paths", "regress"):
         assert sub in err
+
+
+# -- determinism: ids come from the run, not from the process ---------------------------
+
+
+def _inband_doc_json():
+    net = Network(ring(4), seed=3, inband=True)
+    attach_traffic(net)
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    net.run_for(1 * SEC)
+    doc = net.inband_doc()
+    assert doc["recent"], "the document must carry packet ids to compare"
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_same_network_twice_in_one_process_gives_identical_inband_doc():
+    """Packet ids are allocated per simulator: a second same-seed build in
+    the same process reproduces the first document byte for byte."""
+    assert _inband_doc_json() == _inband_doc_json()
