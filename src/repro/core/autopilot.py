@@ -256,9 +256,9 @@ class Autopilot:
         switch (via the stamped id), not in whatever this handler does
         next.
         """
-        rec = self.sim.recorder
-        if rec is not None:
-            packet.flight_eid = rec.record(
+        probe = self.sim.probe
+        if probe is not None:
+            packet.flight_eid = probe.record(
                 self.sim.now,
                 self.switch.name,
                 CAT_MESSAGE,
@@ -269,9 +269,7 @@ class Autopilot:
                 port=port,
                 dest=packet.dest_short,
             )
-        acct = self.sim.control
-        if acct is not None:
-            acct.record_send(
+            probe.record_send(
                 self.engine.epoch,
                 type(message).__name__,
                 self.engine.phase,
@@ -299,11 +297,11 @@ class Autopilot:
             return
         in_port = packet.trail[-1][1] if packet.trail else CONTROL_PROCESSOR_PORT
 
-        rec = self.sim.recorder
-        if rec is not None:
+        probe = self.sim.probe
+        if probe is not None:
             # parent crosses the wire: the send event stamped the packet.
             # advance=True makes everything this message causes chain here.
-            rec.record(
+            probe.record(
                 self.sim.now,
                 self.switch.name,
                 CAT_MESSAGE,
@@ -406,9 +404,9 @@ class Autopilot:
         """
         if self.on_obs_event is not None:
             self.on_obs_event(self.sim.now, self.switch.name, event, attrs)
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.record(self.sim.now, self.switch.name, CAT_EPOCH, event, **attrs)
+        probe = self.sim.probe
+        if probe is not None:
+            probe.record(self.sim.now, self.switch.name, CAT_EPOCH, event, **attrs)
 
     def good_ports(self):
         return self.monitoring.good_ports()

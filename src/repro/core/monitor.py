@@ -146,11 +146,11 @@ class Monitoring:
         mon.state = new_state
         mon.entered_at = now
         self.ap.log("port-state", f"port={port} {old.value}->{new_state.value} ({reason})")
-        rec = self.ap.sim.recorder
-        if rec is not None:
+        probe = self.ap.sim.probe
+        if probe is not None:
             # advances the causal context: the reconfiguration trigger a
             # few lines down chains to this transition
-            rec.record(
+            probe.record(
                 now,
                 self.ap.switch.name,
                 CAT_PORT,

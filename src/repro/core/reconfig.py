@@ -259,16 +259,16 @@ class ReconfigEngine:
             self._pending.pop(pending.message.msg_id, None)
             return
         if pending.attempts > 1:
-            acct = self.ap.sim.control
-            if acct is not None:
-                acct.record_retx(self.epoch, type(pending.message).__name__)
+            probe = self.ap.sim.probe
+            if probe is not None:
+                probe.record_retx(self.epoch, type(pending.message).__name__)
         self.ap.send_one_hop(pending.port, pending.message)
         pending.event = self.ap.sim.after(
             self.params.retx_period_ns, self._retransmit, pending
         )
-        rec = self.ap.sim.recorder
-        if rec is not None:
-            rec.record(
+        probe = self.ap.sim.probe
+        if probe is not None:
+            probe.record(
                 self.ap.sim.now,
                 self.ap.switch.name,
                 CAT_TIMER,
@@ -288,9 +288,9 @@ class ReconfigEngine:
         pending = self._pending.pop(msg_id, None)
         if pending is not None and pending.event is not None:
             pending.event.cancel()
-            rec = self.ap.sim.recorder
-            if rec is not None:
-                rec.record(
+            probe = self.ap.sim.probe
+            if probe is not None:
+                probe.record(
                     self.ap.sim.now,
                     self.ap.switch.name,
                     CAT_TIMER,

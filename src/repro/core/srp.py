@@ -45,9 +45,9 @@ class SrpHandler:
             )
             unit = self.ap.switch.ports.get(next_port)
             if unit is not None and unit.connected:
-                acct = self.ap.sim.control
-                if acct is not None:
-                    acct.record_srp(msg.command, "hop")
+                probe = self.ap.sim.probe
+                if probe is not None:
+                    probe.record_srp(msg.command, "hop")
                 self.ap.send_one_hop(next_port, forwarded)
             return
         if msg.is_reply:
@@ -61,9 +61,9 @@ class SrpHandler:
         # the reply leaves on the port the request arrived on; the
         # accumulated reply_route steers each switch on the way back.
         self.requests_served += 1
-        acct = self.ap.sim.control
-        if acct is not None:
-            acct.record_srp(msg.command, "served")
+        probe = self.ap.sim.probe
+        if probe is not None:
+            probe.record_srp(msg.command, "served")
         reply = replace(
             msg,
             route=tuple(msg.reply_route),

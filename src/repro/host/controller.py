@@ -228,29 +228,20 @@ class HostController:
             return
         if packet.corrupted:
             self.crc_errors += 1
-            ib = self.sim.inband
-            if ib is not None:
-                ib.record_drop(packet, self.name, "crc")
-            tr = self.sim.traffic
-            if tr is not None:
-                tr.record_drop(packet, self.name, "crc")
+            probe = self.sim.probe
+            if probe is not None:
+                probe.record_drop(packet, self.name, "crc")
             return
         if self._rx_held + packet.wire_bytes > self.rx_buffer_bytes:
             self.packets_dropped_rx += 1
-            ib = self.sim.inband
-            if ib is not None:
-                ib.record_drop(packet, self.name, "rx-buffer-full")
-            tr = self.sim.traffic
-            if tr is not None:
-                tr.record_drop(packet, self.name, "rx-buffer-full")
+            probe = self.sim.probe
+            if probe is not None:
+                probe.record_drop(packet, self.name, "rx-buffer-full")
             return
         self.packets_received += 1
-        ib = self.sim.inband
-        if ib is not None:
-            ib.record_delivery(packet, self.name)
-        tr = self.sim.traffic
-        if tr is not None:
-            tr.record_delivery(packet, self.name)
+        probe = self.sim.probe
+        if probe is not None:
+            probe.record_delivery(packet, self.name)
         if self.rx_processing_ns <= 0:
             if self.on_receive is not None:
                 self.on_receive(packet)

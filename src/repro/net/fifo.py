@@ -294,12 +294,9 @@ class ReceiveFifo:
             victim = self._arriving_entry()
             if victim is not None:
                 victim.packet.corrupted = True
-            ib = self.sim.inband
-            if ib is not None:
-                ib.record_queue_drop(victim.packet if victim else None, self.name)
-            tr = self.sim.traffic
-            if tr is not None and victim is not None:
-                tr.record_drop(victim.packet, self.name, "fifo-overflow")
+            probe = self.sim.probe
+            if probe is not None:
+                probe.record_queue_drop(victim.packet if victim else None, self.name)
             if self.on_overflow is not None:
                 self.on_overflow(victim.packet if victim else None)
 

@@ -154,9 +154,9 @@ class LinkUnit(Endpoint):
             # The stray rate/end markers that follow are harmless: with no
             # matching FIFO entry they are ignored.
             self.misdirected_discards += 1
-            ib = self.sim.inband
-            if ib is not None:
-                ib.record_drop(packet, self.name, "misdirected")
+            probe = self.sim.probe
+            if probe is not None:
+                probe.record_drop(packet, self.name, "misdirected")
             return
         self.fifo.begin_packet(packet)
 

@@ -183,12 +183,9 @@ class Switch:
             self.packets_discarded += 1
             self._drop("table-discard", in_port)
             packet.record_hop(self.name, in_port, ())
-            ib = self.sim.inband
-            if ib is not None:
-                ib.record_drop(packet, self.name, "table-discard")
-            tr = self.sim.traffic
-            if tr is not None:
-                tr.record_drop(packet, self.name, "table-discard")
+            probe = self.sim.probe
+            if probe is not None:
+                probe.record_drop(packet, self.name, "table-discard")
             self._fifo_for(in_port).connect_drain([self.discard_sink], broadcast=False)
             return
         self.engine.add_request(Request(in_port, entry, packet))
@@ -207,9 +204,9 @@ class Switch:
                 unit.set_drain_source(fifo)
         self.crossbar.connect(in_port, ports)
         packet.record_hop(self.name, in_port, ports)
-        ib = self.sim.inband
-        if ib is not None:
-            ib.record_hop(packet, self.name, in_port, ports, fifo.peek_level())
+        probe = self.sim.probe
+        if probe is not None:
+            probe.record_hop(packet, self.name, in_port, ports, fifo.peek_level())
         self.packets_forwarded += 1
         forwarded = self.port_forwarded
         forwarded[in_port] = forwarded.get(in_port, 0) + 1
@@ -302,9 +299,9 @@ class Switch:
         if reset_on_load:
             self.reset()
         self.table.clear_to_constant()
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.record(
+        probe = self.sim.probe
+        if probe is not None:
+            probe.record(
                 self.sim.now, self.name, CAT_TABLE, "table-clear", reset=reset_on_load
             )
 
@@ -325,9 +322,9 @@ class Switch:
         if reset_on_load:
             self.reset()
         self.table.load(entries, pretruncated=pretruncated)
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.record(
+        probe = self.sim.probe
+        if probe is not None:
+            probe.record(
                 self.sim.now,
                 self.name,
                 CAT_TABLE,

@@ -25,6 +25,7 @@ from repro.net.switch import Switch
 from repro.obs.flight import FlightRecorder
 from repro.obs.control import ControlAccounting
 from repro.obs.inband import InbandConfig, InbandTelemetry
+from repro.obs.probe import FanOut, Probe
 from repro.obs.profiler import EventLoopProfiler
 from repro.obs.spans import ReconfigTracer
 from repro.obs.timeseries import TimeSeriesConfig, TimeSeriesSampler
@@ -93,38 +94,34 @@ class Network:
         self.tracer = ReconfigTracer() if telemetry else None
         if telemetry:
             self.sim.enable_metrics()
+        #: what this network put in sim.probe (see _attach_probe).  The
+        #: flight, in-band and control probes attach before the switches
+        #: are built so boot-time hooks fire; the traffic engine last.
+        self._probe: Optional[Probe] = None
         #: opt-in flight recorder and event-loop profiler (repro.obs).
-        #: Attached before the switches are built so boot-time events are
-        #: captured; both default off, leaving sim.recorder/sim.profiler
-        #: None (the null fast path).
-        self.flight = (
-            FlightRecorder(capacity_per_component=flight_capacity) if flight else None
-        )
-        if flight:
-            self.sim.recorder = self.flight
+        self.flight = FlightRecorder(flight_capacity, self.sim) if flight else None
+        if self.flight is not None:
+            self._attach_probe(self.flight)
         self.profiler = EventLoopProfiler() if profile else None
         if profile:
             self.sim.profiler = self.profiler
         #: opt-in in-band path telemetry (repro.obs.inband).  Pass
         #: inband=True (defaults), an int (per-packet hop bound), or an
-        #: InbandConfig.  Off (the default) leaves sim.inband None: the
-        #: stamp sites pay one load + None test and packets carry no hop
-        #: stack.  The layer windows its SLO stats against the tracer.
+        #: InbandConfig.  Off (the default), packets carry no hop stack.
+        #: The layer windows its SLO stats against the tracer.
         self.inband_config = InbandConfig.coerce(inband)
         self.inband: Optional[InbandTelemetry] = None
         if self.inband_config is not None:
             self.inband = InbandTelemetry(
                 self.sim, self.inband_config, tracer=self.tracer
             )
-            self.sim.inband = self.inband
+            self._attach_probe(self.inband)
         #: opt-in control-plane cost accounting (repro.obs.control).
-        #: Off (the default) leaves sim.control None: the send/retx/SRP
-        #: hooks pay one load + None test and nothing is counted.
         self.control: Optional[ControlAccounting] = (
             ControlAccounting() if control else None
         )
         if self.control is not None:
-            self.sim.control = self.control
+            self._attach_probe(self.control)
 
         self.switches: List[Switch] = []
         self.autopilots: List[Autopilot] = []
@@ -183,18 +180,26 @@ class Network:
 
         #: opt-in traffic engine (repro.traffic).  Pass traffic=True
         #: (defaults), an int (flow count), or a TrafficConfig.  Off
-        #: (the default) leaves sim.traffic None: the delivery/drop
-        #: stamp sites pay one load + None test and no flow state
-        #: exists, so disabled runs stay byte-identical.  Wired last so
-        #: the engine can register its sampler collectors and (packet
-        #: mode) attach its hosts to free ports.
+        #: (the default) leaves no flow state, so disabled runs stay
+        #: byte-identical.  Wired last so the engine can register its
+        #: sampler collectors and (packet mode) attach its hosts to free
+        #: ports.
         self.traffic_config = TrafficConfig.coerce(traffic)
         self.traffic: "Optional[TrafficEngine]" = None
         if self.traffic_config is not None:
             from repro.traffic.engine import TrafficEngine
 
             self.traffic = TrafficEngine(self, self.traffic_config)
-            self.sim.traffic = self.traffic
+            self._attach_probe(self.traffic)
+
+    def _attach_probe(self, probe: Probe) -> None:
+        """Put ``probe`` in sim.probe beside this network's other probes;
+        never over another network's (that would re-target its hooks)."""
+        held = self.sim.probe
+        if held is not self._probe:
+            raise ValueError(f"network {self.name!r}: the shared simulator already "
+                             f"carries another network's observers")
+        self._probe = self.sim.probe = probe if held is None else FanOut(held, probe)
 
     # -- measurement hooks ----------------------------------------------------------------
 
@@ -669,9 +674,9 @@ class Network:
     def _notify_fault(self, kind: str, **detail) -> None:
         if self.telemetry_enabled:
             self.sim.metrics.counter("faults_injected", kind=kind).inc()
-        tr = self.sim.traffic
-        if tr is not None:
-            tr.note_fault(kind)
+        probe = self.sim.probe
+        if probe is not None:
+            probe.note_fault(kind)
         if self.on_fault is not None:
             self.on_fault(kind, detail)
 

@@ -38,7 +38,9 @@ bench-trajectory needs of ROADMAP.md:
 * :mod:`repro.obs.control` -- control-plane cost accounting: per-epoch
   counters of control-packet volume by message type and reconfiguration
   phase (election / loading / steady), plus retransmission and SRP
-  tallies, behind the ``sim.control`` null fast path.
+  tallies, behind the ``sim.probe`` null fast path.
+* :mod:`repro.obs.probe` -- the one ``sim.probe`` observer slot's hook
+  protocol; flight, in-band, control and traffic are its probes.
 * :mod:`repro.obs.sweep` -- the scaling observatory: one seeded fault
   scenario run across a topology ladder (tori, fat-trees, DCells),
   recording convergence, blackout, control volume, FIFO depth and
@@ -83,6 +85,7 @@ from repro.obs.perfetto import (
     validate_trace,
     write_trace,
 )
+from repro.obs.probe import FanOut, Probe
 from repro.obs.profiler import EventLoopProfiler
 from repro.obs.registry import (
     Counter,
@@ -165,6 +168,8 @@ __all__ = [
     "validate_inband",
     "write_inband",
     "EventLoopProfiler",
+    "FanOut",
+    "Probe",
     "TIMESERIES_SCHEMA",
     "SeriesData",
     "TimeSeries",

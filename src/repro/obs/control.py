@@ -20,10 +20,10 @@ Retransmissions (the reliable-delivery retry path in
 counted separately so the overhead of loss recovery and of the
 debugging plane are distinguishable from first-transmission volume.
 
-The layer follows the repro.obs null fast path: ``sim.control`` is
-``None`` unless a :class:`ControlAccounting` is attached
+The layer follows the repro.obs null fast path: ``sim.probe`` is
+``None`` unless a probe such as :class:`ControlAccounting` is attached
 (``Network(..., control=True)``), and every hot-path hook is one
-attribute load plus a ``None`` test (staticcheck rule RS306).  Enabled,
+attribute load plus a ``None`` test (staticcheck rule RS303).  Enabled,
 it is purely observational -- counting allocates no simulator events and
 never perturbs schedule order, so enabling it cannot change a run.
 """
@@ -32,11 +32,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.probe import Probe
+
 #: control-message phases an engine can report (see ReconfigEngine.phase)
 PHASES = ("election", "loading", "steady")
 
 
-class ControlAccounting:
+class ControlAccounting(Probe):
     """Per-epoch control-packet counters, keyed (epoch, type, phase)."""
 
     __slots__ = ("_cells", "_retx", "_srp", "packets", "bytes")
@@ -51,7 +53,7 @@ class ControlAccounting:
         self.packets = 0
         self.bytes = 0
 
-    # -- hot-path hooks (see RS306: call via one-load + None-test) ------------------
+    # -- hot-path hooks (see RS303: call via one-load + None-test) ------------------
 
     def record_send(
         self, epoch: int, msg_type: str, phase: str, wire_bytes: int

@@ -10,11 +10,11 @@ port death that triggered the epoch.
 Causality is maintained two ways, with no cooperation needed from most of
 the code:
 
-* **Through the event loop.**  :class:`~repro.sim.engine.Simulator`
-  stamps every scheduled :class:`EventHandle` with the recorder's current
-  context and restores it at dispatch, so an event recorded inside a
-  deferred task (a CPU-cost-modeled table computation, a retransmission
-  timer) inherits the context of whatever scheduled it.
+* **Through the event loop.**  The context is the simulator's ``ctx``
+  cell: :class:`~repro.sim.engine.Simulator` stamps it on every scheduled
+  :class:`EventHandle` and restores it at dispatch, so an event recorded
+  inside a deferred task (a CPU-cost-modeled table computation, a
+  retransmission timer) inherits the context of whatever scheduled it.
 * **Through packets.**  A control-message send records an event and
   stamps its id onto the :class:`~repro.net.packet.Packet`; the receive
   on the far switch records an event whose parent is the send, crossing
@@ -22,15 +22,18 @@ the code:
 
 Events live in bounded per-component ring buffers (the paper's per-switch
 circular logs, section 6.7): overflow keeps the newest events and counts
-the drops.  When no recorder is attached (``Simulator.recorder is None``,
-the default) every hook site is a single attribute load plus a ``None``
-test and **no event objects are allocated** -- the same null fast path as
-the PR 1 instruments.
+the drops.  The recorder is the :class:`~repro.obs.probe.Probe` that
+implements ``record``.  When no probe is attached (``Simulator.probe is
+None``, the default) every hook site is a single attribute load plus a
+``None`` test and **no event objects are allocated**.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional
+
+from repro.obs.probe import Probe
 
 #: event categories (the ``cat`` field of the Perfetto export)
 CAT_MESSAGE = "msg"
@@ -126,25 +129,27 @@ class ComponentRing:
         return min(self.total, self.capacity)
 
 
-class FlightRecorder:
+class FlightRecorder(Probe):
     """Captures causally-linked events into per-component rings.
 
-    Attach to a simulator (``sim.recorder = recorder``) *before* building
-    components so boot-time events are captured; ``Network(...,
-    flight=True)`` does this.  ``current`` is the causal context: the id
-    of the most recent context-advancing event recorded inside the
-    simulation event being dispatched right now.  The simulator saves it
-    on every scheduled event handle and restores it at dispatch.
+    Build with the simulator it records and put it in ``sim.probe``
+    *before* building components so boot-time events are captured;
+    ``Network(..., flight=True)`` does this.  The causal context is the
+    simulator's ``ctx`` cell: the id of the most recent context-advancing
+    event recorded inside the simulation event being dispatched right
+    now.  The simulator saves it on every scheduled event handle and
+    restores it at dispatch.
     """
 
-    def __init__(self, capacity_per_component: int = 65536) -> None:
+    def __init__(self, capacity_per_component: int = 65536, sim: Any = None) -> None:
         self.capacity_per_component = capacity_per_component
         self._rings: Dict[str, ComponentRing] = {}
         #: eid -> event, for retained events only (evictions de-index)
         self._index: Dict[int, FlightEvent] = {}
         self._next_eid = 1
-        #: causal context: parent for events recorded without an explicit one
-        self.current: Optional[int] = None
+        #: causal-context cell (``.ctx``): parent for events recorded
+        #: without an explicit one; a private one without a simulator
+        self._cell = sim if sim is not None else SimpleNamespace(ctx=None)
 
     # -- recording -----------------------------------------------------------------
 
@@ -168,8 +173,9 @@ class FlightRecorder:
         """
         eid = self._next_eid
         self._next_eid += 1
+        cell = self._cell
         if parent is None:
-            parent = self.current
+            parent = cell.ctx
         event = FlightEvent(eid, t_ns, component, category, name, parent, attrs)
         ring = self._rings.get(component)
         if ring is None:
@@ -181,7 +187,7 @@ class FlightRecorder:
             self._index.pop(evicted.eid, None)
         self._index[eid] = event
         if advance:
-            self.current = eid
+            cell.ctx = eid
         return eid
 
     # -- bookkeeping queries ----------------------------------------------------------

@@ -23,9 +23,10 @@ perturbs the fluid model.  On delivery the host side folds the stack:
 
 Discipline (mirrors the flight recorder and the sampler):
 
-* **Null fast path.**  ``Simulator.inband`` is ``None`` by default and
-  every stamp site in ``switch``/``linkunit``/``fifo``/``host`` is one
-  attribute load plus a ``None`` test (``RS305`` enforces this); a
+* **Null fast path.**  :class:`InbandTelemetry` is a
+  :class:`~repro.obs.probe.Probe`; ``Simulator.probe`` is ``None`` by
+  default and every stamp site in ``switch``/``linkunit``/``fifo``/``host``
+  is one attribute load plus a ``None`` test (``RS303`` enforces this); a
   packet's ``hops`` field stays ``None`` -- nothing is allocated -- and
   runs are byte-identical with the module out of play.
 * **Observational purity.**  Hop records only *read* component state;
@@ -50,6 +51,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.artifact import (
     ArtifactSchemaError, Schema, array, fixed, integer, mapping, nullable, number, obj, string,
 )
+from repro.obs.probe import Probe
 
 #: bump the suffix when the artifact layout changes incompatibly
 INBAND_SCHEMA = "repro.obs.inband/1"
@@ -307,11 +309,11 @@ class SloTracker:
         return out
 
 
-class InbandTelemetry:
-    """The ``sim.inband`` object: hot-path stamp sink plus host-side
-    folding.  Attach with ``sim.inband = InbandTelemetry(sim, ...)`` (or
-    build the network with ``Network(inband=...)``, which does both).
-    Detached, every stamp site costs one attribute load + None test."""
+class InbandTelemetry(Probe):
+    """The in-band probe: hot-path stamp sink plus host-side folding.
+    Build the network with ``Network(inband=...)``, which puts it in
+    ``sim.probe``.  Detached, every stamp site costs one attribute load
+    + None test."""
 
     def __init__(self, sim, config: Optional[InbandConfig] = None,
                  tracer=None) -> None:
@@ -334,7 +336,7 @@ class InbandTelemetry:
         ):
             self._current_epoch = epoch
 
-    # -- hot-path stamps (called behind the RS305 None-test guard) ---------------
+    # -- hot-path stamps (called behind the RS303 None-test guard) ---------------
 
     def record_hop(self, packet, switch: str, in_port: int,
                    out_ports: Tuple[int, ...], depth: float) -> None:

@@ -30,9 +30,12 @@ from __future__ import annotations
 import itertools
 from heapq import heappop, heappush
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
 from repro.obs.registry import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.obs.probe import Probe
 
 
 class EventHandle:
@@ -41,7 +44,7 @@ class EventHandle:
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "ctx")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any],
-                 args: tuple) -> None:
+                 args: tuple, ctx: Optional[int]) -> None:
         self.time = time
         self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
@@ -50,7 +53,7 @@ class EventHandle:
         #: flight-recorder causal context captured at schedule time (the
         #: eid of the event being handled when this one was scheduled);
         #: None when no recorder is attached or the event is a causal root
-        self.ctx: Optional[int] = None
+        self.ctx = ctx
 
     def cancel(self) -> None:
         """Prevent the event from running.  Safe to call more than once."""
@@ -98,12 +101,18 @@ class Simulator:
         #: collectors over the counters the loop keeps anyway.
         self.metrics = MetricsRegistry(enabled=False)
         self._metrics_registered = False
-        #: optional flight recorder (repro.obs.flight.FlightRecorder).
-        #: None (the default) is the fast path: every hook site in the
-        #: simulation is then one attribute load plus a None test, and no
-        #: event objects are allocated.  Attach before building
-        #: components so boot-time events are captured.
-        self.recorder = None
+        #: the one hot-path observer slot (repro.obs.probe.Probe): the
+        #: flight recorder, in-band telemetry, control accounting, the
+        #: traffic engine, or a FanOut over several of them.  None (the
+        #: default) is the fast path: every hook site in the simulation
+        #: is then one attribute load plus a None test and nothing is
+        #: allocated (staticcheck RS303 enforces the pattern).  Attach
+        #: before building components so boot-time hooks fire.
+        self.probe: Optional[Probe] = None
+        #: causal-context cell of an attached flight recorder: saved on
+        #: every scheduled handle, restored at dispatch while a probe is
+        #: attached, read and advanced by the recorder; None otherwise
+        self.ctx: Optional[int] = None
         #: optional event-loop profiler (repro.obs.profiler.
         #: EventLoopProfiler); None disables the per-event perf_counter
         #: calls entirely.
@@ -114,24 +123,6 @@ class Simulator:
         #: event, so no dispatch-path code ever consults this attribute
         #: -- it exists so tools (doctor, watch) can find the sampler.
         self.sampler = None
-        #: optional in-band path telemetry (repro.obs.inband.
-        #: InbandTelemetry).  None (the default) is the fast path: every
-        #: stamp site in switch/linkunit/fifo/host is one attribute load
-        #: plus a None test, no hop records are allocated, and runs stay
-        #: byte-identical (RS305 enforces the pattern at call sites).
-        self.inband = None
-        #: optional control-plane cost accounting (repro.obs.control.
-        #: ControlAccounting).  None (the default) is the fast path:
-        #: every send/retransmit/SRP hook in autopilot/reconfig/srp is
-        #: one attribute load plus a None test and no counter cells are
-        #: allocated (RS306 enforces the pattern at call sites).
-        self.control = None
-        #: optional traffic engine (repro.traffic.engine.TrafficEngine).
-        #: None (the default) is the fast path: every delivery/drop
-        #: stamp site in host/switch/fifo is one attribute load plus a
-        #: None test, no flow state exists, and runs stay byte-identical
-        #: (RS308 enforces the pattern at call sites).
-        self.traffic = None
 
     def enable_metrics(self) -> None:
         """Turn on telemetry and publish the engine's own series."""
@@ -152,11 +143,9 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         self._seq += 1
         time = int(time)
-        handle = EventHandle(time, self._seq, fn, args)
-        if self.recorder is not None:
-            # causality flows through the event loop: the scheduled event
-            # inherits the context of whatever scheduled it
-            handle.ctx = self.recorder.current
+        # causality flows through the event loop: the scheduled event
+        # inherits the context of whatever scheduled it
+        handle = EventHandle(time, self._seq, fn, args, self.ctx)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [handle]
@@ -172,9 +161,7 @@ class Simulator:
         # inlined at(): this is the hottest scheduling entry point
         time = self.now + int(delay)
         self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args)
-        if self.recorder is not None:
-            handle.ctx = self.recorder.current
+        handle = EventHandle(time, self._seq, fn, args, self.ctx)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [handle]
@@ -187,9 +174,7 @@ class Simulator:
         """Schedule ``fn(*args)`` at the current instant, after pending work."""
         time = self.now
         self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args)
-        if self.recorder is not None:
-            handle.ctx = self.recorder.current
+        handle = EventHandle(time, self._seq, fn, args, self.ctx)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [handle]
@@ -292,10 +277,9 @@ class Simulator:
                 handle.cancelled = True
                 handle.fn = None
                 handle.args = ()
-                recorder = self.recorder
-                if recorder is not None:
+                if self.probe is not None:
                     # restore the causal context captured at schedule time
-                    recorder.current = handle.ctx
+                    self.ctx = handle.ctx
                 profiler = self.profiler
                 if profiler is not None:
                     started = perf_counter_ns()

@@ -53,9 +53,9 @@ class Periodic:
         self._record("timer-arm")
 
     def _record(self, event: str) -> None:
-        rec = self._sim.recorder
-        if rec is not None and self.name is not None:
-            rec.record(
+        probe = self._sim.probe
+        if probe is not None and self.name is not None:
+            probe.record(
                 self._sim.now,
                 self.owner,
                 CAT_TIMER,
@@ -70,11 +70,11 @@ class Periodic:
             return
         self._handle = self._sim.after(self.period, self._tick)
         self._handle.ctx = None
-        rec = self._sim.recorder
-        if rec is not None and self.name is not None:
+        probe = self._sim.probe
+        if probe is not None and self.name is not None:
             # parent=None: the firing is a causal root, and advancing the
             # context makes everything the callback does chain to it
-            rec.record(
+            probe.record(
                 self._sim.now,
                 self.owner,
                 CAT_TIMER,
@@ -139,9 +139,9 @@ class TaskScheduler:
         behind it.
         """
         due = self._quantize(self.sim.now + delay)
-        rec = self.sim.recorder
-        if rec is not None:
-            rec.record(
+        probe = self.sim.probe
+        if probe is not None:
+            probe.record(
                 self.sim.now,
                 self.owner,
                 CAT_TIMER,

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.staticcheck.baseline import (
+    BASELINE,
     Baseline,
     BaselineError,
     find_default_baseline,
@@ -114,7 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             try:
                 baseline = Baseline.load(baseline_path)
             except BaselineError as error:
-                print(f"error: {error}", file=sys.stderr)
+                print(f"error: {baseline_path}: {error}", file=sys.stderr)
                 return 2
 
     select = None
@@ -160,16 +161,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _prune_baseline(path: Path, stale: List[Dict[str, str]]) -> int:
     """Rewrite the baseline file minus the given stale entries."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = BASELINE.read(path)
     dead = {(s["rule"], s["path"]) for s in stale}
-    entries = doc.get("suppressions", [])
+    entries = doc["suppressions"]
     kept = [
         entry for entry in entries
-        if (entry.get("rule"),
-            str(entry.get("path", "")).replace("\\", "/")) not in dead
+        if (entry["rule"], entry["path"].replace("\\", "/")) not in dead
     ]
     doc["suppressions"] = kept
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    BASELINE.write(path, doc)
     return len(entries) - len(kept)
 
 

@@ -27,14 +27,34 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
+from repro.artifact import ArtifactSchemaError, Schema, array, fail, obj, string
 from repro.staticcheck.framework import Finding
 
 BASELINE_SCHEMA = "repro.staticcheck-baseline/1"
 DEFAULT_BASELINE_NAME = "staticcheck-baseline.json"
 
 
-class BaselineError(ValueError):
-    """The baseline file is malformed or missing a justification."""
+def _entries_justified(doc: Dict[str, Any]) -> None:
+    """Every entry names an ``RS`` rule and says why it is grandfathered."""
+    for i, entry in enumerate(doc["suppressions"]):
+        if not entry["rule"].startswith("RS"):
+            fail(f"$.suppressions[{i}].rule", "expected an RSxxx id")
+        if not entry["justification"].strip():
+            fail(f"$.suppressions[{i}].justification",
+                 "a non-empty justification is required -- unexplained "
+                 "suppressions defeat the gate")
+
+
+BASELINE = Schema(BASELINE_SCHEMA, {
+    "suppressions": array(obj({
+        "rule": string(),
+        "path": string(non_empty=True),
+        "justification": string(),
+    })),
+}, checks=[_entries_justified])
+
+#: the baseline file is malformed or missing a justification
+BaselineError = ArtifactSchemaError
 
 
 @dataclass(frozen=True)
@@ -52,40 +72,18 @@ class Baseline:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Baseline":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls.from_dict(BASELINE.read(path))
         except json.JSONDecodeError as error:
-            raise BaselineError(f"{path}: not valid JSON: {error}") from error
-        return cls.from_dict(raw, source=str(path))
+            raise BaselineError(f"not valid JSON: {error}") from error
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any], source: str = "<dict>") -> "Baseline":
-        if not isinstance(raw, dict) or raw.get("schema") != BASELINE_SCHEMA:
-            raise BaselineError(
-                f"{source}: expected schema {BASELINE_SCHEMA!r}, "
-                f"got {raw.get('schema') if isinstance(raw, dict) else type(raw).__name__!r}"
-            )
-        entries = raw.get("suppressions")
-        if not isinstance(entries, list):
-            raise BaselineError(f"{source}: 'suppressions' must be a list")
-        suppressions: List[Suppression] = []
-        for index, entry in enumerate(entries):
-            where = f"{source}: suppressions[{index}]"
-            if not isinstance(entry, dict):
-                raise BaselineError(f"{where}: must be an object")
-            rule = entry.get("rule")
-            spath = entry.get("path")
-            justification = entry.get("justification")
-            if not (isinstance(rule, str) and rule.startswith("RS")):
-                raise BaselineError(f"{where}: 'rule' must be an RSxxx id")
-            if not isinstance(spath, str) or not spath:
-                raise BaselineError(f"{where}: 'path' must be a non-empty string")
-            if not isinstance(justification, str) or not justification.strip():
-                raise BaselineError(
-                    f"{where}: a non-empty 'justification' is required -- "
-                    f"unexplained suppressions defeat the gate"
-                )
-            suppressions.append(Suppression(rule, spath.replace("\\", "/"), justification))
-        return cls(suppressions=suppressions)
+    def from_dict(cls, raw: Dict[str, Any]) -> "Baseline":
+        BASELINE.validate(raw)
+        return cls(suppressions=[
+            Suppression(entry["rule"], entry["path"].replace("\\", "/"),
+                        entry["justification"])
+            for entry in raw["suppressions"]
+        ])
 
     def match(self, finding: Finding) -> Optional[Suppression]:
         """The first suppression covering this finding, marking it used."""

@@ -35,7 +35,7 @@ PARSE_ERROR_RULE = "RS000"
 
 #: bumped whenever any rule's behavior changes; invalidates the
 #: incremental result cache (:mod:`repro.staticcheck.cache`) wholesale
-RULESET_VERSION = "9.0"
+RULESET_VERSION = "10.0"
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,16 @@ keep call sites inside that contract:
   ``.format``-built strings.  Labels fan out one series per distinct
   value; formatted strings are how cardinality explodes (the registry's
   runtime cap then silently drops series).
-* **RS303** -- flight-recorder hooks must follow the established
-  pattern: load the recorder into a local once, test it against
-  ``None``, then record.  Calling through ``x.recorder.record(...)``
-  either double-loads the attribute on the hot path or, unguarded,
-  crashes when the recorder is off.
+* **RS303** -- probe hooks must follow the established pattern: load
+  ``<owner>.probe`` into a local once, test it against ``None``, then
+  call the hook.  The rule is parametrized by the receiver attribute
+  (``probe``) and the :class:`~repro.obs.probe.Probe` hook names, so
+  every hot-path observer -- flight recorder, in-band telemetry,
+  control accounting, traffic engine -- is audited by this one rule.
+  Calling through ``x.probe.record_drop(...)`` either double-loads the
+  attribute on the hot path or, unguarded, crashes when no observer is
+  on.  (RS305, RS306 and RS308 were per-observer copies of this rule;
+  they are retired.)
 * **RS304** -- time-series sampler discipline: collectors registered via
   ``add_collector`` must use literal series names (same schema-stability
   argument as RS301), sampler ring capacities must be literal ints (a
@@ -26,34 +31,18 @@ keep call sites inside that contract:
   collector callback must not ``.append`` to anything -- collectors are
   pure reads sampled every tick; an appending callback is an unbounded
   buffer growing at the sampling rate.
-* **RS305** -- in-band telemetry stamps (``record_hop`` and friends on
-  ``sim.inband``) must follow the same one-load+None-test pattern as
-  RS303.  The stamp sites live on the per-packet hot path in
-  ``switch``/``linkunit``/``fifo``/``host``; a chained or unguarded call
-  silently regresses the disabled fast path (or crashes when the layer
-  is off).
-* **RS306** -- control-plane accounting hooks (``record_send`` /
-  ``record_retx`` / ``record_srp`` on ``sim.control``) must follow the
-  same one-load+None-test pattern.  The hooks sit on every control
-  message send in ``autopilot``/``reconfig``/``srp``; an unguarded call
-  crashes every network built without ``control=True``.
 * **RS307** -- sweep collectors must use literal metric names:
   ``point.set_metric(...)`` takes its series name as a string literal so
   the ``repro.obs.sweep/1`` metric set stays a static, greppable
   vocabulary (same schema-stability argument as RS301/RS304).
-* **RS308** -- traffic-engine stamps (``record_delivery`` /
-  ``record_drop`` / ``note_fault`` on ``sim.traffic``) must follow the
-  same one-load+None-test pattern as RS305.  The stamp sites share the
-  per-packet hot path with the in-band layer; an unguarded call crashes
-  every network built without ``traffic=...`` and a chained call
-  regresses the disabled fast path.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Set
 
+from repro.obs.probe import HOOKS
 from repro.staticcheck.framework import (
     Finding,
     ParsedModule,
@@ -83,6 +72,7 @@ IMPLEMENTATION_MODULES = frozenset({
     "repro.obs.inband",
     "repro.obs.control",
     "repro.obs.sweep",
+    "repro.obs.probe",
     "repro.traffic.engine",
 })
 
@@ -99,37 +89,14 @@ SAMPLER_CTORS = frozenset({"TimeSeriesConfig", "SeriesRing"})
 #: maximum labels per instrument call: more is a cardinality smell
 MAX_LABELS = 4
 
-#: attribute names holding the flight recorder (RS303)
-RECORDER_ATTRS = frozenset({"recorder", "flight"})
+#: attribute names holding the observer slot (RS303)
+PROBE_ATTRS = frozenset({"probe"})
 
-#: methods RS303 audits on a recorder
-RECORDER_METHODS = frozenset({"record"})
-
-#: attribute names holding the in-band telemetry layer (RS305)
-INBAND_ATTRS = frozenset({"inband"})
-
-#: hot-path stamp methods RS305 audits on the in-band layer
-INBAND_METHODS = frozenset({
-    "record_hop",
-    "record_drop",
-    "record_queue_drop",
-    "record_delivery",
-})
-
-#: attribute names holding the control-plane accounting layer (RS306)
-CONTROL_ATTRS = frozenset({"control"})
-
-#: hot-path hooks RS306 audits on the accounting layer
-CONTROL_METHODS = frozenset({"record_send", "record_retx", "record_srp"})
+#: hook methods RS303 audits on a probe: the Probe protocol's hooks
+PROBE_HOOKS = frozenset(HOOKS)
 
 #: receivers that look like a sweep point / harness (RS307)
 SWEEP_HINTS = ("point", "sweep")
-
-#: attribute names holding the traffic engine (RS308)
-TRAFFIC_ATTRS = frozenset({"traffic"})
-
-#: hot-path stamp methods RS308 audits on the traffic engine
-TRAFFIC_METHODS = frozenset({"record_delivery", "record_drop", "note_fault"})
 
 
 class ObsDisciplinePass(Pass):
@@ -151,10 +118,11 @@ class ObsDisciplinePass(Pass):
         ),
         Rule(
             id="RS303",
-            title="flight-recorder call bypasses the None-test pattern",
-            invariant="a disabled recorder costs one attribute load + None test",
-            paper="DESIGN.md flight-recorder disabled path",
-            hint="load it once (rec = <owner>.recorder), test 'if rec is not None', then record",
+            title="probe hook bypasses the None-test pattern",
+            invariant="with no observer on, a hook site costs one attribute load + None test",
+            paper="DESIGN.md Probe section (§6.7 debugging aids)",
+            hint="load it once (probe = <owner>.probe), test 'if probe is not None', "
+                 "then call the hook",
         ),
         Rule(
             id="RS304",
@@ -165,35 +133,11 @@ class ObsDisciplinePass(Pass):
                  "read-only collector callback (no .append)",
         ),
         Rule(
-            id="RS305",
-            title="in-band stamp bypasses the None-test pattern",
-            invariant="a disabled in-band layer costs one attribute load + None test",
-            paper="repro.obs.inband disabled fast path (§6.7 data-plane SLO)",
-            hint="load it once (ib = <owner>.inband), test 'if ib is not None', "
-                 "then stamp",
-        ),
-        Rule(
-            id="RS306",
-            title="control-accounting hook bypasses the None-test pattern",
-            invariant="disabled control accounting costs one attribute load + None test",
-            paper="repro.obs.control disabled fast path (§6 control-plane cost)",
-            hint="load it once (acct = <owner>.control), test 'if acct is not "
-                 "None', then record",
-        ),
-        Rule(
             id="RS307",
             title="sweep metric name is not a string literal",
             invariant="the repro.obs.sweep/1 metric set is static and greppable",
             paper="repro.obs.sweep/1 schema stability",
             hint="pass a literal SWEEP_METRICS name to set_metric()",
-        ),
-        Rule(
-            id="RS308",
-            title="traffic-engine stamp bypasses the None-test pattern",
-            invariant="a disabled traffic engine costs one attribute load + None test",
-            paper="repro.traffic disabled fast path (§6.7 blackout cost)",
-            hint="load it once (tr = <owner>.traffic), test 'if tr is not "
-                 "None', then stamp",
         ),
     )
 
@@ -207,22 +151,7 @@ class ObsDisciplinePass(Pass):
                 yield from self._check_sweep_call(module, node)
         for scope in function_scopes(module.tree):
             if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_guarded_calls(
-                    module, scope, RECORDER_ATTRS, RECORDER_METHODS,
-                    "RS303", "recorder",
-                )
-                yield from self._check_guarded_calls(
-                    module, scope, INBAND_ATTRS, INBAND_METHODS,
-                    "RS305", "in-band layer",
-                )
-                yield from self._check_guarded_calls(
-                    module, scope, CONTROL_ATTRS, CONTROL_METHODS,
-                    "RS306", "control accounting",
-                )
-                yield from self._check_guarded_calls(
-                    module, scope, TRAFFIC_ATTRS, TRAFFIC_METHODS,
-                    "RS308", "traffic engine",
-                )
+                yield from self._check_guarded_calls(module, scope)
 
     # -- RS301 / RS302 -----------------------------------------------------------------
 
@@ -351,45 +280,33 @@ class ObsDisciplinePass(Pass):
                     f"not a string literal",
                 )
 
-    # -- RS303 / RS305 / RS306 ---------------------------------------------------------
+    # -- RS303 -------------------------------------------------------------------------
 
     def _check_guarded_calls(self, module: ParsedModule,
-                             func: ast.FunctionDef,
-                             attrs: frozenset, methods: frozenset,
-                             rule_id: str, noun: str) -> Iterator[Finding]:
-        instrument_locals = self._instrument_locals(func, attrs)
-        yield from self._scan_guarded(
-            module, func.body, instrument_locals, set(),
-            attrs, methods, rule_id, noun,
-        )
+                             func: ast.FunctionDef) -> Iterator[Finding]:
+        yield from self._scan_guarded(module, func.body, self._probe_locals(func), set())
 
     @staticmethod
-    def _instrument_locals(func: ast.FunctionDef, attrs: frozenset) -> Set[str]:
-        """Local names assigned from one of ``attrs`` attribute chains."""
+    def _probe_locals(func: ast.FunctionDef) -> Set[str]:
+        """Local names assigned from a ``<owner>.probe`` attribute."""
         names: Set[str] = set()
         for node in ast.walk(func):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute):
-                if node.value.attr in attrs:
+                if node.value.attr in PROBE_ATTRS:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             names.add(target.id)
         return names
 
     def _scan_guarded(self, module: ParsedModule, body: List[ast.stmt],
-                      instrument_locals: Set[str], guarded: Set[str],
-                      attrs: frozenset, methods: frozenset,
-                      rule_id: str, noun: str) -> Iterator[Finding]:
+                      probe_locals: Set[str], guarded: Set[str]) -> Iterator[Finding]:
         guarded = set(guarded)
         for stmt in body:
             if isinstance(stmt, ast.If):
                 newly = self._names_guarded_by(stmt.test)
-                yield from self._scan_guarded(
-                    module, stmt.body, instrument_locals, guarded | newly,
-                    attrs, methods, rule_id, noun)
-                yield from self._scan_guarded(
-                    module, stmt.orelse, instrument_locals, guarded,
-                    attrs, methods, rule_id, noun)
-                # 'if rec is None: return' guards the rest of this body
+                yield from self._scan_guarded(module, stmt.body, probe_locals, guarded | newly)
+                yield from self._scan_guarded(module, stmt.orelse, probe_locals, guarded)
+                # 'if probe is None: return' guards the rest of this body
                 if stmt.body and isinstance(
                         stmt.body[-1], (ast.Return, ast.Continue, ast.Break, ast.Raise)):
                     guarded |= self._names_refuted_by(stmt.test)
@@ -399,44 +316,39 @@ class ObsDisciplinePass(Pass):
                 continue
             if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
                 yield from self._scan_guarded(
-                    module, stmt.body + stmt.orelse, instrument_locals, guarded,
-                    attrs, methods, rule_id, noun)
+                    module, stmt.body + stmt.orelse, probe_locals, guarded)
                 continue
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                yield from self._scan_guarded(
-                    module, stmt.body, instrument_locals, guarded,
-                    attrs, methods, rule_id, noun)
+                yield from self._scan_guarded(module, stmt.body, probe_locals, guarded)
                 continue
             if isinstance(stmt, ast.Try):
                 inner = stmt.body + stmt.orelse + stmt.finalbody
                 for handler in stmt.handlers:
                     inner = inner + handler.body
-                yield from self._scan_guarded(
-                    module, inner, instrument_locals, guarded,
-                    attrs, methods, rule_id, noun)
+                yield from self._scan_guarded(module, inner, probe_locals, guarded)
                 continue
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue  # handled as their own scope
             for node in ast.walk(stmt):
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in methods):
+                        and node.func.attr in PROBE_HOOKS):
                     continue
                 receiver = node.func.value
                 if (isinstance(receiver, ast.Attribute)
-                        and receiver.attr in attrs):
+                        and receiver.attr in PROBE_ATTRS):
                     yield self.finding(
-                        rule_id, module, node,
+                        "RS303", module, node,
                         f"chained '<owner>.{receiver.attr}.{node.func.attr}(...)' "
-                        f"re-loads the attribute and crashes when the {noun} "
-                        f"is detached",
+                        f"re-loads the attribute and crashes when no probe "
+                        f"is attached",
                     )
                 elif (isinstance(receiver, ast.Name)
-                        and receiver.id in instrument_locals
+                        and receiver.id in probe_locals
                         and receiver.id not in guarded):
                     yield self.finding(
-                        rule_id, module, node,
-                        f"{noun} local {receiver.id!r} is used without an "
+                        "RS303", module, node,
+                        f"probe local {receiver.id!r} is used without an "
                         f"'is not None' guard",
                     )
 

@@ -10,7 +10,7 @@ tracer's epoch spans, exported as versioned ``repro.traffic/1``
 artifacts.
 
 Entry points: ``Network(traffic=...)`` wires a
-:class:`~repro.traffic.engine.TrafficEngine` onto ``sim.traffic``;
+:class:`~repro.traffic.engine.TrafficEngine` into ``sim.probe``;
 ``python -m repro.traffic run`` drives the canonical generate ->
 converge -> load -> cut -> reconverge -> report scenario.
 """

@@ -1,11 +1,11 @@
 """The traffic engine: workload execution plus the SLO observatory.
 
-``Network(traffic=...)`` builds one :class:`TrafficEngine` and hangs it
-on ``sim.traffic`` -- the same optional-attribute discipline every
-other observability layer follows (staticcheck RS308 audits the call
-sites).  With traffic off, ``sim.traffic`` stays None and every hook in
-the data path is one attribute load plus a None test, so disabled runs
-remain byte-identical.
+``Network(traffic=...)`` builds one :class:`TrafficEngine`, a
+:class:`~repro.obs.probe.Probe`, and puts it in ``sim.probe`` beside the
+network's other observers (staticcheck RS303 audits the call sites).
+With no observer on, ``sim.probe`` stays None and every hook in the data
+path is one attribute load plus a None test, so disabled runs remain
+byte-identical.
 
 Two execution modes share one observatory:
 
@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.constants import SEC
 from repro.net.packet import PacketType
+from repro.obs.probe import Probe
 from repro.obs.registry import Histogram
 from repro.traffic.artifact import TRAFFIC_SCHEMA
 from repro.traffic.fluid import (
@@ -75,7 +76,7 @@ class FlowRun:
         self.latency_ns: Optional[int] = None
 
 
-class TrafficEngine:
+class TrafficEngine(Probe):
     """Workload execution + SLO accounting for one installation."""
 
     def __init__(self, network, config: TrafficConfig) -> None:
@@ -130,7 +131,7 @@ class TrafficEngine:
         if network.tracer is not None:
             network.tracer.add_listener(self._span_event)
 
-    # -- timeseries collectors (literal names: RS304/RS308) --------------------------
+    # -- timeseries collectors (literal names: RS304) --------------------------------
 
     def _install_collectors(self, sampler) -> None:
         sampler.add_collector(
@@ -175,7 +176,7 @@ class TrafficEngine:
         for flow in self.flows:
             self.sim.at(self._launch_ns + flow.arrival_ns, self._arrive, flow)
 
-    # -- event hooks (guarded call sites audit as RS308) ------------------------------
+    # -- probe hooks (guarded call sites audit as RS303) ------------------------------
 
     def note_fault(self, kind: str) -> None:
         """A fault was injected: paths may have died without any table
@@ -200,8 +201,10 @@ class TrafficEngine:
         self.packets_delivered += 1
 
     def record_drop(self, packet, component: str, cause: str) -> None:
-        """Hot-path stamp (host rx / switch / FIFO): a packet-mode
-        datagram died, attributed by cause."""
+        """Hot-path stamp (host rx / switch / link unit): a packet-mode
+        datagram died, attributed by cause.  A FIFO overflow is not a
+        drop here: its corrupted victim is counted once, as ``"crc"``,
+        where it lands (see :meth:`Probe.record_queue_drop`)."""
         if packet.ptype is not PacketType.CLIENT:
             return
         if not isinstance(packet.payload, int) or packet.payload not in self.runs:

@@ -1,6 +1,6 @@
 """Control-plane cost accounting (repro.obs.control).
 
-Two contracts: disabled accounting is the null fast path (sim.control
+Two contracts: disabled accounting is the null fast path (sim.probe
 stays None, runs are unchanged), and enabled accounting is purely
 observational (it counts, it never perturbs) while slicing control
 volume by epoch, message type, and reconfiguration phase.
@@ -26,9 +26,9 @@ def converged_network(topo="torus-3x4", seed=7, **kwargs):
 def test_disabled_leaves_sim_control_none():
     net = Network(resolve_topology("ring-4"), seed=0)
     assert net.control is None
-    assert net.sim.control is None
+    assert net.sim.probe is None
     net.run_for(1 * SEC)
-    assert net.sim.control is None
+    assert net.sim.probe is None
     assert "control" not in net.telemetry()
 
 
@@ -61,7 +61,7 @@ def test_enabled_accounting_is_observational():
 def test_counts_boot_and_fault_epochs():
     net = converged_network(control=True)
     acct = net.control
-    assert acct is net.sim.control
+    assert acct is net.sim.probe
     boot_packets = acct.packets
     boot_epochs = set(acct.epochs())
     assert boot_packets > 0 and acct.bytes > boot_packets  # > 1 byte/packet

@@ -99,8 +99,8 @@ def test_parent_defaults_to_context_and_advance_controls_it():
 
 def test_context_flows_through_scheduled_events():
     sim = Simulator()
-    rec = FlightRecorder()
-    sim.recorder = rec
+    rec = FlightRecorder(sim=sim)
+    sim.probe = rec
 
     seen = []
 
@@ -132,7 +132,7 @@ def test_render_chain_indents_by_depth():
 
 
 def test_disabled_recorder_allocates_no_events(monkeypatch):
-    """With sim.recorder left None, no FlightEvent is ever constructed."""
+    """With sim.probe left None, no FlightEvent is ever constructed."""
     constructed = []
 
     class CountingEvent(FlightEvent):
@@ -142,7 +142,7 @@ def test_disabled_recorder_allocates_no_events(monkeypatch):
 
     monkeypatch.setattr(flight_mod, "FlightEvent", CountingEvent)
     net = Network(ring(3), seed=5)
-    assert net.sim.recorder is None and net.flight is None
+    assert net.sim.probe is None and net.flight is None
     assert net.sim.profiler is None and net.profiler is None
     net.run_for(3 * SEC)
     assert net.sim.events_dispatched > 0

@@ -79,7 +79,7 @@ def attach_traffic(net, period_ns=5 * MS, data_bytes=256):
 class StubSim:
     def __init__(self):
         self.now = 0
-        self.inband = None
+        self.probe = None
 
 
 class StubTracer:
@@ -234,7 +234,7 @@ def test_disabled_inband_allocates_no_hop_stacks():
     _sinks, seen = attach_traffic(net)
     assert net.run_until_converged(timeout_ns=60 * SEC)
     net.run_for(1 * SEC)
-    assert net.inband is None and net.sim.inband is None
+    assert net.inband is None and net.sim.probe is None
     assert len(seen) > 0
     assert all(packet.hops is None for packet in seen)
 

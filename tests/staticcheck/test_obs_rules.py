@@ -1,6 +1,11 @@
 """RS3xx fixtures: observability discipline."""
 
+import inspect
+
+from repro.obs.probe import Probe
 from repro.staticcheck import check_source
+from repro.staticcheck.framework import all_rules
+from repro.staticcheck.obsrules import PROBE_HOOKS
 
 
 def rules_of(findings):
@@ -82,65 +87,232 @@ def test_rs302_clean_raw_values_and_buckets_kwarg():
     assert findings == []
 
 
-# -- RS303: flight-recorder disabled pattern ------------------------------------------
+# -- RS303: the probe guard, one rule for every hot-path observer ---------------------
+#
+# The merged rule's table.  RS305 (in-band stamps), RS306 (control
+# accounting) and RS308 (traffic-engine stamps) were copies of RS303 for
+# their own ``sim.<layer>`` slots; each of their fixtures is a case here,
+# now on the one ``sim.probe`` slot, under the id it had before.  A case
+# is (source, the rule of every expected finding, module, path).
 
+FIXTURE = ("repro.net.fixture", "src/repro/net/fixture.py")
 
-def test_rs303_chained_recorder_call_flagged():
-    findings = check(
+PROBE_GUARD_CASES = {
+    # -- from RS303 (flight recorder)
+    "rs303_chained_recorder_call_flagged": (
         "def on_packet(self, pkt):\n"
-        "    self.sim.recorder.record(0, 'sw', 'msg', 'recv')\n"
-    )
-    assert rules_of(findings) == ["RS303"]
-
-
-def test_rs303_unguarded_local_flagged():
-    findings = check(
+        "    self.sim.probe.record(0, 'sw', 'msg', 'recv')\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs303_unguarded_local_flagged": (
         "def on_packet(self, pkt):\n"
-        "    rec = self.sim.recorder\n"
-        "    rec.record(0, 'sw', 'msg', 'recv')\n"
-    )
-    assert rules_of(findings) == ["RS303"]
-
-
-def test_rs303_clean_guarded_local():
-    findings = check(
+        "    rec = self.sim.probe\n"
+        "    rec.record(0, 'sw', 'msg', 'recv')\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs303_clean_guarded_local": (
         "def on_packet(self, pkt):\n"
-        "    rec = self.sim.recorder\n"
+        "    rec = self.sim.probe\n"
         "    if rec is not None:\n"
-        "        rec.record(0, 'sw', 'msg', 'recv')\n"
-    )
-    assert findings == []
-
-
-def test_rs303_clean_guard_with_and_chain_inside_loop():
-    findings = check(
+        "        rec.record(0, 'sw', 'msg', 'recv')\n",
+        [], *FIXTURE,
+    ),
+    "rs303_clean_guard_with_and_chain_inside_loop": (
         "def flush(self, pkts):\n"
         "    for pkt in pkts:\n"
-        "        rec = self.sim.recorder\n"
+        "        rec = self.sim.probe\n"
         "        if rec is not None and self.name is not None:\n"
-        "            rec.record(0, self.name, 'msg', 'send')\n"
-    )
-    assert findings == []
-
-
-def test_rs303_clean_early_return_guard():
-    findings = check(
+        "            rec.record(0, self.name, 'msg', 'send')\n",
+        [], *FIXTURE,
+    ),
+    "rs303_clean_early_return_guard": (
         "def mark(self):\n"
-        "    rec = self.sim.recorder\n"
+        "    rec = self.sim.probe\n"
         "    if rec is None:\n"
         "        return\n"
-        "    rec.record(0, 'sw', 'epoch', 'mark')\n"
-    )
-    assert findings == []
-
-
-def test_rs303_implementation_module_exempt():
-    findings = check_source(
+        "    rec.record(0, 'sw', 'epoch', 'mark')\n",
+        [], *FIXTURE,
+    ),
+    "rs303_implementation_module_exempt": (
         "def replay(self):\n"
-        "    self.recorder.record(0, 'x', 'y', 'z')\n",
-        module="repro.obs.flight", path="src/repro/obs/flight.py",
+        "    self.probe.record(0, 'x', 'y', 'z')\n",
+        [], "repro.obs.flight", "src/repro/obs/flight.py",
+    ),
+    # -- from RS305 (in-band stamps)
+    "rs305_chained_inband_call_flagged": (
+        "def forward(self, pkt, port):\n"
+        "    self.sim.probe.record_hop(pkt, self.name, port, (2,), 0.0)\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs305_unguarded_local_flagged": (
+        "def forward(self, pkt, port):\n"
+        "    ib = self.sim.probe\n"
+        "    ib.record_hop(pkt, self.name, port, (2,), 0.0)\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs305_clean_guarded_local": (
+        "def forward(self, pkt, port):\n"
+        "    ib = self.sim.probe\n"
+        "    if ib is not None:\n"
+        "        ib.record_hop(pkt, self.name, port, (2,), 0.0)\n",
+        [], *FIXTURE,
+    ),
+    "rs305_clean_early_return_guard": (
+        "def deliver(self, pkt):\n"
+        "    ib = self.sim.probe\n"
+        "    if ib is None:\n"
+        "        return\n"
+        "    ib.record_delivery(pkt, self.name)\n",
+        [], *FIXTURE,
+    ),
+    "rs305_all_stamp_methods_audited": (
+        "".join(
+            f"def site_{method}(self, pkt):\n    self.sim.probe.{method}(pkt)\n"
+            for method in ("record_hop", "record_drop", "record_queue_drop",
+                           "record_delivery")
+        ),
+        ["RS303"] * 4, *FIXTURE,
+    ),
+    # non-hook methods (document(), quantiles()) are tool-time, not hot path
+    "rs305_unrelated_methods_ignored": (
+        "def export(self):\n"
+        "    return self.sim.probe.document()\n",
+        [], *FIXTURE,
+    ),
+    "rs305_implementation_module_exempt": (
+        "def record_hop(self, pkt):\n"
+        "    self.sim.probe.record_hop(pkt)\n",
+        [], "repro.obs.inband", "src/repro/obs/inband.py",
+    ),
+    # -- from RS306 (control accounting)
+    "rs306_chained_control_call_flagged": (
+        "def send(self, msg):\n"
+        "    self.sim.probe.record_send(0, 'AckMsg', 'steady', 24)\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs306_unguarded_local_flagged": (
+        "def send(self, msg):\n"
+        "    acct = self.sim.probe\n"
+        "    acct.record_send(0, 'AckMsg', 'steady', 24)\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs306_clean_guarded_local": (
+        "def send(self, msg):\n"
+        "    acct = self.sim.probe\n"
+        "    if acct is not None:\n"
+        "        acct.record_send(0, 'AckMsg', 'steady', 24)\n",
+        [], *FIXTURE,
+    ),
+    "rs306_clean_early_return_guard": (
+        "def retransmit(self, pending):\n"
+        "    acct = self.sim.probe\n"
+        "    if acct is None:\n"
+        "        return\n"
+        "    acct.record_retx(0, 'ConfigMsg')\n",
+        [], *FIXTURE,
+    ),
+    "rs306_all_accounting_methods_audited": (
+        "def site(self):\n"
+        "    self.sim.probe.record_send(0, 'AckMsg', 'steady', 24)\n"
+        "    self.sim.probe.record_retx(0, 'AckMsg')\n"
+        "    self.sim.probe.record_srp('ping', 'hop')\n",
+        ["RS303"] * 3, *FIXTURE,
+    ),
+    # summary()/by_type() are tool-time queries, not hot-path hooks
+    "rs306_unrelated_methods_ignored": (
+        "def report(self):\n"
+        "    return self.sim.probe.summary()\n",
+        [], *FIXTURE,
+    ),
+    "rs306_implementation_module_exempt": (
+        "def record_send(self, epoch, msg, phase, size):\n"
+        "    self.sim.probe.record_send(epoch, msg, phase, size)\n",
+        [], "repro.obs.control", "src/repro/obs/control.py",
+    ),
+    # -- from RS308 (traffic-engine stamps)
+    "rs308_chained_traffic_call_flagged": (
+        "def rx(self, packet):\n"
+        "    self.sim.probe.record_drop(packet, self.name, 'crc')\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs308_unguarded_local_flagged": (
+        "def rx(self, packet):\n"
+        "    tr = self.sim.probe\n"
+        "    tr.record_delivery(packet, self.name)\n",
+        ["RS303"], *FIXTURE,
+    ),
+    "rs308_clean_guarded_local": (
+        "def rx(self, packet):\n"
+        "    tr = self.sim.probe\n"
+        "    if tr is not None:\n"
+        "        tr.record_delivery(packet, self.name)\n",
+        [], *FIXTURE,
+    ),
+    "rs308_clean_early_return_guard": (
+        "def fault(self, kind):\n"
+        "    tr = self.sim.probe\n"
+        "    if tr is None:\n"
+        "        return\n"
+        "    tr.note_fault(kind)\n",
+        [], *FIXTURE,
+    ),
+    "rs308_all_stamp_methods_audited": (
+        "def site(self, packet):\n"
+        "    self.sim.probe.record_delivery(packet, self.name)\n"
+        "    self.sim.probe.record_drop(packet, self.name, 'crc')\n"
+        "    self.sim.probe.note_fault('cut-link')\n",
+        ["RS303"] * 3, *FIXTURE,
+    ),
+    # the engine implements the stamps; its internals are out of scope
+    "rs308_engine_internals_exempt": (
+        "def _resolve(self):\n"
+        "    self.sim.probe.note_fault('internal')\n",
+        [], "repro.traffic.engine", "src/repro/traffic/engine.py",
+    ),
+}
+
+
+def _probe_guard_test(source, expected, module, path):
+    def test():
+        findings = check(source, module=module, path=path)
+        assert sorted(f.rule for f in findings) == expected
+
+    return test
+
+
+# one test per case, named after it, so each case passes or fails on its own
+for _name, _case in PROBE_GUARD_CASES.items():
+    globals()[f"test_{_name}"] = _probe_guard_test(*_case)
+
+
+def test_rs303_hooks_are_the_probe_protocol():
+    hooks = {name for name, _ in inspect.getmembers(Probe, inspect.isfunction)
+             if not name.startswith("_")}
+    assert PROBE_HOOKS == hooks
+
+
+def test_rs303_audits_every_hook():
+    source = "".join(
+        f"def site_{hook}(self):\n    self.sim.probe.{hook}()\n" for hook in sorted(PROBE_HOOKS)
+    )
+    findings = check(source)
+    assert [f.rule for f in findings] == ["RS303"] * len(PROBE_HOOKS)
+
+
+def test_rs303_audits_only_probe_receivers():
+    # an observer reached through its Network attribute is tool-time code
+    findings = check(
+        "def site(self, packet):\n"
+        "    self.net.inband.record_drop(packet, self.name, 'crc')\n"
+        "    self.net.control.record_send(0, 'AckMsg', 'steady', 24)\n"
     )
     assert findings == []
+
+
+def test_retired_guard_rules_are_gone():
+    ids = {rule.id for rule in all_rules()}
+    assert "RS303" in ids
+    assert not ids & {"RS305", "RS306", "RS308"}
 
 
 # -- RS304: sampler bounded-ring discipline -------------------------------------------
@@ -208,147 +380,6 @@ def test_rs304_implementation_module_exempt():
     assert findings == []
 
 
-# -- RS305: in-band stamp disabled pattern --------------------------------------------
-
-
-def test_rs305_chained_inband_call_flagged():
-    findings = check(
-        "def forward(self, pkt, port):\n"
-        "    self.sim.inband.record_hop(pkt, self.name, port, (2,), 0.0)\n"
-    )
-    assert rules_of(findings) == ["RS305"]
-
-
-def test_rs305_unguarded_local_flagged():
-    findings = check(
-        "def forward(self, pkt, port):\n"
-        "    ib = self.sim.inband\n"
-        "    ib.record_hop(pkt, self.name, port, (2,), 0.0)\n"
-    )
-    assert rules_of(findings) == ["RS305"]
-
-
-def test_rs305_clean_guarded_local():
-    findings = check(
-        "def forward(self, pkt, port):\n"
-        "    ib = self.sim.inband\n"
-        "    if ib is not None:\n"
-        "        ib.record_hop(pkt, self.name, port, (2,), 0.0)\n"
-    )
-    assert findings == []
-
-
-def test_rs305_clean_early_return_guard():
-    findings = check(
-        "def deliver(self, pkt):\n"
-        "    ib = self.sim.inband\n"
-        "    if ib is None:\n"
-        "        return\n"
-        "    ib.record_delivery(pkt, self.name)\n"
-    )
-    assert findings == []
-
-
-def test_rs305_all_stamp_methods_audited():
-    for method in ("record_hop", "record_drop", "record_queue_drop",
-                   "record_delivery"):
-        findings = check(
-            "def site(self, pkt):\n"
-            f"    self.sim.inband.{method}(pkt)\n"
-        )
-        assert rules_of(findings) == ["RS305"], method
-
-
-def test_rs305_unrelated_methods_ignored():
-    # non-stamp methods (document(), quantiles()) are tool-time, not hot path
-    findings = check(
-        "def export(self):\n"
-        "    return self.sim.inband.document()\n"
-    )
-    assert findings == []
-
-
-def test_rs305_implementation_module_exempt():
-    findings = check_source(
-        "def record_hop(self, pkt):\n"
-        "    self.sim.inband.record_hop(pkt)\n",
-        module="repro.obs.inband", path="src/repro/obs/inband.py",
-    )
-    assert findings == []
-
-
-# -- RS306: control-accounting disabled pattern ---------------------------------------
-
-
-def test_rs306_chained_control_call_flagged():
-    findings = check(
-        "def send(self, msg):\n"
-        "    self.sim.control.record_send(0, 'AckMsg', 'steady', 24)\n"
-    )
-    assert rules_of(findings) == ["RS306"]
-
-
-def test_rs306_unguarded_local_flagged():
-    findings = check(
-        "def send(self, msg):\n"
-        "    acct = self.sim.control\n"
-        "    acct.record_send(0, 'AckMsg', 'steady', 24)\n"
-    )
-    assert rules_of(findings) == ["RS306"]
-
-
-def test_rs306_clean_guarded_local():
-    findings = check(
-        "def send(self, msg):\n"
-        "    acct = self.sim.control\n"
-        "    if acct is not None:\n"
-        "        acct.record_send(0, 'AckMsg', 'steady', 24)\n"
-    )
-    assert findings == []
-
-
-def test_rs306_clean_early_return_guard():
-    findings = check(
-        "def retransmit(self, pending):\n"
-        "    acct = self.sim.control\n"
-        "    if acct is None:\n"
-        "        return\n"
-        "    acct.record_retx(0, 'ConfigMsg')\n"
-    )
-    assert findings == []
-
-
-def test_rs306_all_accounting_methods_audited():
-    for method, args in (
-        ("record_send", "0, 'AckMsg', 'steady', 24"),
-        ("record_retx", "0, 'AckMsg'"),
-        ("record_srp", "'ping', 'hop'"),
-    ):
-        findings = check(
-            "def site(self):\n"
-            f"    self.sim.control.{method}({args})\n"
-        )
-        assert rules_of(findings) == ["RS306"], method
-
-
-def test_rs306_unrelated_methods_ignored():
-    # summary()/by_type() are tool-time queries, not hot-path hooks
-    findings = check(
-        "def report(self):\n"
-        "    return self.sim.control.summary()\n"
-    )
-    assert findings == []
-
-
-def test_rs306_implementation_module_exempt():
-    findings = check_source(
-        "def record_send(self, epoch, msg, phase, size):\n"
-        "    self.sim.control.record_send(epoch, msg, phase, size)\n",
-        module="repro.obs.control", path="src/repro/obs/control.py",
-    )
-    assert findings == []
-
-
 # -- RS307: literal sweep metric names ------------------------------------------------
 
 
@@ -389,70 +420,5 @@ def test_rs307_unrelated_receivers_ignored():
     findings = check(
         "def f(gauge, name):\n"
         "    gauge.set_metric(name, 1.0)\n"
-    )
-    assert findings == []
-
-
-# -- RS308: traffic-engine disabled pattern -------------------------------------------
-
-
-def test_rs308_chained_traffic_call_flagged():
-    findings = check(
-        "def rx(self, packet):\n"
-        "    self.sim.traffic.record_drop(packet, self.name, 'crc')\n"
-    )
-    assert rules_of(findings) == ["RS308"]
-
-
-def test_rs308_unguarded_local_flagged():
-    findings = check(
-        "def rx(self, packet):\n"
-        "    tr = self.sim.traffic\n"
-        "    tr.record_delivery(packet, self.name)\n"
-    )
-    assert rules_of(findings) == ["RS308"]
-
-
-def test_rs308_clean_guarded_local():
-    findings = check(
-        "def rx(self, packet):\n"
-        "    tr = self.sim.traffic\n"
-        "    if tr is not None:\n"
-        "        tr.record_delivery(packet, self.name)\n"
-    )
-    assert findings == []
-
-
-def test_rs308_clean_early_return_guard():
-    findings = check(
-        "def fault(self, kind):\n"
-        "    tr = self.sim.traffic\n"
-        "    if tr is None:\n"
-        "        return\n"
-        "    tr.note_fault(kind)\n"
-    )
-    assert findings == []
-
-
-def test_rs308_all_stamp_methods_audited():
-    for method, args in (
-        ("record_delivery", "packet, self.name"),
-        ("record_drop", "packet, self.name, 'fifo-overflow'"),
-        ("note_fault", "'cut-link'"),
-    ):
-        findings = check(
-            "def site(self, packet):\n"
-            f"    self.sim.traffic.{method}({args})\n"
-        )
-        assert rules_of(findings) == ["RS308"], method
-
-
-def test_rs308_engine_internals_exempt():
-    # the engine implements the stamps; its internals are out of scope
-    findings = check(
-        "def _resolve(self):\n"
-        "    self.sim.traffic.note_fault('internal')\n",
-        module="repro.traffic.engine",
-        path="src/repro/traffic/engine.py",
     )
     assert findings == []

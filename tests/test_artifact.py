@@ -37,6 +37,7 @@ from repro.obs.timeseries import (
     read_timeseries,
     write_timeseries,
 )
+from repro.staticcheck.baseline import BASELINE, BaselineError
 from repro.staticcheck.report import SchemaError as ReportSchemaError
 from repro.staticcheck.report import read_report, write_report
 from repro.traffic.artifact import (
@@ -166,6 +167,14 @@ def _traffic():
     }
 
 
+def _baseline():
+    return {
+        "schema": "repro.staticcheck-baseline/1",
+        "suppressions": [{"rule": "RS101", "path": "src/repro/sim/engine.py",
+                          "justification": "feeds only the profiler"}],
+    }
+
+
 def _reproducer():
     schedule = Schedule(topology="torus-3x4", seed=1, name="fixed",
                         events=[CutLink(at_ns=0, a=2, b=3)])
@@ -183,6 +192,7 @@ KINDS = {
     "staticcheck": (_report, lambda path, doc: write_report(doc, path), read_report, 2, True),
     "traffic": (_traffic, write_traffic, read_traffic, 2, False),
     "reproducer": (_reproducer, write_artifact, load_artifact, 2, True),
+    "baseline": (_baseline, BASELINE.write, BASELINE.read, 2, False),
 }
 
 
@@ -210,6 +220,7 @@ def test_every_writer_refuses_an_invalid_document(kind, tmp_path):
 
 def test_old_error_names_are_one_class():
     for alias in (SchemaError, InbandSchemaError, RegressSchemaError, SweepSchemaError,
-                  TimeSeriesSchemaError, ReportSchemaError, TrafficSchemaError):
+                  TimeSeriesSchemaError, ReportSchemaError, TrafficSchemaError,
+                  BaselineError):
         assert alias is ArtifactSchemaError
     assert issubclass(ArtifactSchemaError, ValueError)

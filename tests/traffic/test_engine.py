@@ -16,7 +16,9 @@ import json
 
 import pytest
 
-from repro.constants import SEC
+from repro.constants import BYTE_TIME_NS, SEC
+from repro.net.fifo import ReceiveFifo
+from repro.net.packet import Packet, PacketType
 from repro.network import Network
 from repro.obs.export import bench_document, bench_result
 from repro.topology.generators import resolve_topology
@@ -146,6 +148,28 @@ def test_no_cut_no_blackout_cost():
 def test_slo_violations_empty_after_reconvergence():
     net = _run_scenario("ring-4", traffic=dict(SMALL_TRAFFIC))
     assert net.traffic.slo_violations() == []
+
+
+def test_fifo_overflow_victim_is_one_drop():
+    """A client packet whose receive FIFO overflows travels on corrupted
+    and dies at the receiving host's CRC check.  The traffic SLO counts
+    it once, as ``crc`` where it lands, and agrees with the in-band SLO."""
+    net = Network(resolve_topology("ring-4"), seed=0, inband=True,
+                  traffic={"mode": "packet", "flows": 1, "hosts": 2})
+    assert net.run_until_converged(timeout_ns=60 * SEC)
+    (fid,) = net.traffic.runs
+    packet = Packet(dest_short=0x20, src_short=0x30, ptype=PacketType.CLIENT,
+                    data_bytes=500, payload=fid)
+    fifo = ReceiveFifo(net.sim, "sw1.p5.fifo", capacity=100)
+    fifo.begin_packet(packet)
+    fifo.set_in_rate(1.0)
+    net.run_for(600 * BYTE_TIME_NS)
+    assert fifo.overflowed and packet.corrupted
+    port = net.hosts["tr1"].active_port
+    port.rx_begin_packet(packet)
+    port.rx_end_packet(packet)
+    assert net.traffic.drops == {"crc": 1}
+    assert net.inband.slo.drops == net.traffic.drops
 
 
 def test_artifact_roundtrip(tmp_path):
